@@ -3,7 +3,7 @@
 The sweep engine parallelizes *across* scenarios; this module
 parallelizes *inside* one, following the same worker discipline
 (:mod:`repro.sweep.jobs`): everything crossing the process boundary is
-plain data — spec dicts down, egress-record/result dicts up — so the
+plain data — spec dicts down, egress batches and result dicts up — so the
 parent never holds live simulator state and the pickled floats are
 bit-exact.  Each worker builds its :class:`~repro.core.host.Host` from
 the same derived seed the serial path uses, which is why the two modes
@@ -65,8 +65,7 @@ def host_worker(conn, spec_dict: dict, index: int, costs_dict: dict,
             elif command == "peek":
                 conn.send(("ok", host.peek()))
             elif command == "advance":
-                window_end, inbound = args
-                conn.send(("ok", host.advance(window_end, inbound)))
+                conn.send(("ok", host.advance(*args)))
             elif command == "start_measurement":
                 host.start_measurement()
                 conn.send(("ok", None))
@@ -149,14 +148,14 @@ class ProcessHost:
     def peek(self) -> Optional[float]:
         return self._call("peek")
 
-    def advance_begin(self, window_end: float, inbound: List[dict]) -> None:
-        self._conn.send(("advance", (window_end, inbound)))
+    def advance_begin(self, window_end: float, inbound: List[tuple],
+                      until: float, rx_bps: float) -> None:
+        self._conn.send(("advance", (window_end, inbound, until, rx_bps)))
         self._awaiting = True
 
     def advance_finish(self):
         self._awaiting = False
-        outbound, peek = self._receive()
-        return outbound, peek
+        return self._receive()
 
     def start_measurement(self) -> None:
         self._call("start_measurement")

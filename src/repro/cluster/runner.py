@@ -5,13 +5,21 @@ of host runners — in-process :class:`~repro.core.host.Host` wrappers, or
 :class:`~repro.cluster.process.ProcessHost` workers.  Each round it
 
 1. asks the :class:`~repro.sim.sync.LockstepBarrier` for the next safe
-   horizon (global min of next events and pending fabric arrivals, plus
-   the fabric-latency lookahead),
+   horizon: the smallest host egress frontier (an exact host's next
+   event or pending fabric arrival, a collapsed host's transmit
+   horizon) plus the fabric-latency lookahead,
 2. hands every host its due deliveries and advances it to the horizon
    (all hosts at once in process mode — that is the intra-scenario
    parallelism), and
-3. routes the egress records that surfaced through the ToR, in a
-   globally sorted order, producing the next round's arrivals.
+3. routes, through the ToR and in the global ``(t, source host,
+   sequence)`` order, every egress frame below the smallest frontier,
+   producing later rounds' arrivals.  Frames at or past it wait: a
+   slower host may still emit an earlier frame for the same
+   destination.
+
+Egress and ingress travel as per-shape batches of plain floats and ints
+(see :meth:`~repro.net.fabric.ToRSwitch.route`), one per flow and
+round, never as per-frame records.
 
 Every quantity that reaches the result is computed from plain data in
 the coordinator or summed from per-host dicts, so serial and
@@ -20,6 +28,7 @@ process-per-host runs are byte-identical by construction.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional
 
 from repro.core.costs import CostModel
@@ -53,8 +62,9 @@ class InProcessHost:
     def peek(self) -> Optional[float]:
         return self.host.peek()
 
-    def advance_begin(self, window_end: float, inbound: List[dict]) -> None:
-        self._step = self.host.advance(window_end, inbound)
+    def advance_begin(self, window_end: float, inbound: List[tuple],
+                      until: float, rx_bps: float) -> None:
+        self._step = self.host.advance(window_end, inbound, until, rx_bps)
 
     def advance_finish(self):
         step, self._step = self._step, None
@@ -118,28 +128,39 @@ class ClusterCoordinator:
         self.runners = runners
         self.tor = tor
         self.barrier = LockstepBarrier(lookahead)
-        #: Routed fabric messages not yet injected into their hosts.
-        self.pending: List[dict] = []
-        self.peeks: List[Optional[float]] = [r.peek() for r in runners]
+        count = len(runners)
+        #: Per destination host: routed batches not yet injected, in
+        #: arrival order (each host's arrivals are strictly increasing
+        #: in routing order — the ToR serializes its egress port).
+        self.pending: List[List[tuple]] = [[] for _ in range(count)]
+        #: Egress batches handed over but not yet routable (at or past
+        #: the smallest frontier).
+        self.held: List[tuple] = []
+        self.frontiers: List[Optional[float]] = [r.peek() for r in runners]
+        #: Hosts whose frontier ignores pending arrivals: a collapsed
+        #: host's arrivals replay without emitting egress.
+        self.collapsed: List[bool] = [False] * count
         #: host index -> simulated time its engine freezes (host_crash
         #: faults); plan data, identical in serial and process modes.
         self.crash_at: Dict[int, float] = dict(crash_at or {})
         #: Hosts whose engines have reached their crash time.
         self.dead: set = set()
 
+    def _floor_inputs(self):
+        """The barrier's inputs: every host's frontier, plus the first
+        pending arrival of each host stepping event by event."""
+        arrivals = [pending[0][2][0]
+                    for index, pending in enumerate(self.pending)
+                    if pending and not self.collapsed[index]]
+        return self.frontiers, arrivals
+
     def run(self, until: float) -> None:
         """Advance every host exactly to ``until`` (resumable: pending
         fabric messages beyond ``until`` carry over to the next call)."""
+        rx_bps = self.tor.spec.rate_bps
         while True:
-            window = self.barrier.next_window(
-                until, self.peeks, [m["arrival"] for m in self.pending])
-            due = [m for m in self.pending if m["arrival"] <= window]
-            self.pending = [m for m in self.pending
-                            if m["arrival"] > window]
-            due.sort(key=lambda m: (m["arrival"], m["src_host"], m["seq"]))
-            inbound: Dict[int, List[dict]] = {}
-            for message in due:
-                inbound.setdefault(message["dst_host"], []).append(message)
+            frontiers, arrivals = self._floor_inputs()
+            window = self.barrier.next_window(until, frontiers, arrivals)
             # Fan out first, then gather: with process runners every
             # host simulates its window concurrently.  A crashed host's
             # engine is capped at its crash time and then never stepped
@@ -150,25 +171,94 @@ class ClusterCoordinator:
                     continue
                 cap = self.crash_at.get(index)
                 end = window if cap is None else min(window, cap)
-                runner.advance_begin(end, inbound.get(index, []))
-            outbound: List[dict] = []
+                runner.advance_begin(end, self._take_due(index, window),
+                                     until, rx_bps)
             for index, runner in enumerate(self.runners):
                 if index in self.dead:
                     continue
-                egress, peek = runner.advance_finish()
+                egress, frontier, collapsed = runner.advance_finish()
                 cap = self.crash_at.get(index)
                 if cap is not None and window >= cap:
                     self.dead.add(index)
-                    peek = None
-                self.peeks[index] = peek
-                outbound.extend(egress)
-            outbound.sort(key=lambda m: (m["t"], m["src_host"], m["seq"]))
-            for message in outbound:
-                routed = self.tor.route(message)
-                if routed is not None:
-                    self.pending.append(routed)
+                    frontier = None
+                self.frontiers[index] = frontier
+                self.collapsed[index] = collapsed
+                self.held.extend(egress)
+            self._route_held()
             if window >= until:
                 return
+
+    def _take_due(self, index: int, window: float) -> List[tuple]:
+        """Split off host ``index``'s deliveries with arrival <=
+        ``window`` (batches are in arrival order; one may straddle)."""
+        pending = self.pending[index]
+        due: List[tuple] = []
+        while pending:
+            batch = pending[0]
+            arrivals = batch[2]
+            if arrivals[-1] <= window:
+                due.append(pending.pop(0))
+                continue
+            cut = bisect_right(arrivals, window)
+            if cut:
+                dst_host, shape, _arrivals, created, counts = batch
+                due.append((dst_host, shape, arrivals[:cut], created[:cut],
+                            None if counts is None else counts[:cut]))
+                pending[0] = (dst_host, shape, arrivals[cut:],
+                              created[cut:],
+                              None if counts is None else counts[cut:])
+            break
+        return due
+
+    def _route_held(self) -> None:
+        """Route every held frame below the smallest frontier, per
+        destination in ``(t, src_host, seq)`` order (the only order that
+        reaches ToR state); the rest stay held."""
+        frontiers, arrivals = self._floor_inputs()
+        floor = min((f for f in list(frontiers) + arrivals
+                     if f is not None), default=None)
+        routable: Dict[Optional[int], List[tuple]] = {}
+        held: List[tuple] = []
+        for batch in self.held:
+            times = batch[1]
+            cut = (len(times) if floor is None
+                   else bisect_left(times, floor))
+            if cut < len(times):
+                shape, _times, seqs, created = batch
+                held.append((shape, times[cut:], seqs[cut:], created[cut:]))
+                if not cut:
+                    continue
+                batch = (shape, times[:cut], seqs[:cut], created[:cut])
+            routable.setdefault(self.tor.host_for(batch[0][2]),
+                                []).append(batch)
+        self.held = held
+        for batches in routable.values():
+            for run in _interleave(batches):
+                routed = self.tor.route(run)
+                if routed is not None:
+                    self.pending[routed[0]].append(routed)
+
+
+def _interleave(batches: List[tuple]) -> List[tuple]:
+    """Batches bound for one destination, cut into single-shape runs in
+    the global ``(t, src_host, seq)`` frame order."""
+    if len(batches) == 1:
+        return batches
+    frames = sorted((t, batch[0][0], seq, index, created)
+                    for index, batch in enumerate(batches)
+                    for t, seq, created in zip(batch[1], batch[2],
+                                               batch[3]))
+    runs: List[tuple] = []
+    last = None
+    for t, _src_host, seq, index, created in frames:
+        if index != last:
+            run = (batches[index][0], [], [], [])
+            runs.append(run)
+            last = index
+        run[1].append(t)
+        run[2].append(seq)
+        run[3].append(created)
+    return runs
 
 
 def run_cluster(scenario, *, costs: Optional[CostModel] = None,

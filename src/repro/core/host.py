@@ -11,16 +11,18 @@ port's wire receive.
 A Host still owns its own :class:`~repro.sim.engine.Simulator`; the
 cluster coordinator (:mod:`repro.cluster`) advances many of them in
 conservative lockstep windows (:mod:`repro.sim.sync`).  Everything a
-Host exchanges with the coordinator is plain data — spec dicts in,
-egress-record dicts out — so the exact same Host runs in-process or
-behind a worker-process pipe with bit-identical results.
+Host exchanges with the coordinator is plain data — spec dicts and routed
+frame batches in, per-shape egress batches out — so the exact same Host
+runs in-process or behind a worker-process pipe with bit-identical
+results.
 """
 
 from __future__ import annotations
 
 import zlib
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.costs import CostModel
 from repro.core.optimizations import OptimizationConfig
@@ -35,6 +37,12 @@ from repro.vmm.domain import DomainKind, GuestKernel
 _KINDS = {"hvm": DomainKind.HVM, "pvm": DomainKind.PVM}
 _KERNELS = {k.value: k for k in GuestKernel}
 _PROTOCOLS = {p.value: p for p in Protocol}
+
+
+class HorizonError(RuntimeError):
+    """A collapsed host's replay contradicted what it certified ahead:
+    egress already handed out would change.  Raised instead of letting
+    the run diverge from exact."""
 
 
 def derive_host_seed(base: int, name: str) -> int:
@@ -215,14 +223,15 @@ class Host:
                                      _KERNELS[spec.kernel], make_policy())
             for _ in range(spec.vm_count)
         ]
-        #: Egress records collected since the last :meth:`advance`.
-        self._outbound: List[dict] = []
-        #: Collapsed egress awaiting sequence numbers: fluid flows
-        #: stage their replayed uplink deliveries here (seq-less); the
-        #: flush sorts by delivery time and numbers them, reproducing
-        #: the exact run's host-global egress order.
-        self._staged: List[dict] = []
+        #: Egress since the last :meth:`advance`, one batch per frame
+        #: shape: ``{shape: (shape, times, seqs, created)}``.
+        self._outbound: Dict[tuple, tuple] = {}
         self._egress_seq = 0
+        #: ``(t, created_at)`` of egress handed out while collapsed but
+        #: not yet delivered when the host left the fast path: the
+        #: exact engine must now produce exactly these, in order, and
+        #: they are not emitted twice.
+        self._promised: Deque[Tuple[float, float]] = deque()
         self._mac_to_port = {guest.vf.mac.value: guest.port
                              for guest in self.guests}
         for port in self.bed.ports:
@@ -284,7 +293,7 @@ class Host:
 
         Collapse is all-or-nothing per host: egress sequence numbers
         are host-global, so one exact stream beside a collapsed one
-        would interleave live and staged records.  The total-order
+        would interleave live and handed-out egress.  The total-order
         replay also needs each port's event sources to belong to one
         flow, so two streams sharing a port keep the host exact.
         """
@@ -309,14 +318,13 @@ class Host:
     # lockstep stepping
     # ------------------------------------------------------------------
     def peek(self) -> Optional[float]:
-        """The earliest future instant this host can act at.
+        """This host's egress frontier: no frame leaves its uplinks
+        before it from now on.
 
-        Collapsed flows schedule no events, so their next tick and
-        earliest staged wire delivery join the engine's peek — that is
-        what keeps the lockstep barrier's no-time-travel proof intact.
-        Pending virtual *fires* are deliberately left out: they produce
-        no egress, so fluid windows span them (fewer, wider windows
-        than exact; window count is pure synchronization).
+        Collapsed flows schedule no events, so each one's transmit
+        frontier joins the engine's peek — that is what keeps the
+        lockstep barrier's no-time-travel proof intact.  Pending virtual
+        *fires* and arrivals produce no egress, so they are left out.
         """
         t = self.sim.peek()
         for flow in self.bed.fluid_flows:
@@ -326,69 +334,133 @@ class Host:
                     t = ft
         return t
 
-    def advance(self, window_end: float, inbound: List[dict]):
+    def advance(self, window_end: float, inbound: List[tuple],
+                until: float, rx_bps: float):
         """Inject fabric deliveries, run to the window end, and return
-        ``(egress records, next-event peek)``.
+        ``(egress batches, egress frontier, collapsed)``.
 
-        ``inbound`` must arrive pre-sorted by (arrival, source host,
-        sequence): ties then execute in schedule order, which the engine
-        keeps FIFO, so delivery order is globally deterministic.  A port
-        with an active fluid flow takes its deliveries into the flow's
-        virtual queue here — the same instant, and the same order, the
-        exact host would create the ``_ingress`` handles.
+        ``inbound`` holds routed batches ``(dst_host, shape, arrivals,
+        created, counts)`` in arrival order; scheduling in that order
+        keeps delivery order globally deterministic.  A port with an
+        active fluid flow takes its batches into the flow's virtual
+        queue here — the same instant, and the same order, the exact
+        host would create the ``_ingress`` handles.
+
+        A collapsed host then replays its transmit side ahead of the
+        window, up to ``until`` at most, and hands out the egress it
+        has certified (:meth:`_run_ahead`); ``rx_bps`` is the fabric's
+        delivery rate, which bounds what inbound traffic can add to a
+        port's DMA backlog meanwhile.  ``collapsed`` tells the
+        coordinator that pending arrivals do not bound the frontier.
         """
-        for message in inbound:
-            port = self._mac_to_port.get(message["dst"])
+        mac_to_port = self._mac_to_port
+        for batch in inbound:
+            shape = batch[1]
+            port = mac_to_port.get(shape[2])
             if port is None:
                 continue
             flow = port._fluid_tx
             if flow is not None and flow.active:
-                if not flow.accept_arrival(message):
-                    # A frame the collapsed replay cannot express: the
-                    # whole host leaves the fast path, and the message
-                    # takes the exact ingress schedule it always had.
-                    self._evict_fluid()
-                    self.sim.schedule_at(message["arrival"], self._ingress,
-                                         message, port)
-            else:
-                self.sim.schedule_at(message["arrival"], self._ingress,
-                                     message, port)
+                if flow.accept_arrival(batch):
+                    continue
+                # A frame the collapsed replay cannot express: the whole
+                # host leaves the fast path, and the batch takes the
+                # exact ingress schedule it always had.
+                self._evict_fluid()
+            self._schedule_ingress(port, batch)
         self.sim.run(until=window_end)
+        collapsed = False
         if self.sim_mode == "fluid":
             self.bed.settle_fluid()
-            self._flush_staged()
-        outbound = self._outbound
-        self._outbound = []
-        return outbound, self.peek()
+            collapsed = self._run_ahead(until, rx_bps)
+        outbound = list(self._outbound.values())
+        self._outbound = {}
+        return outbound, self.peek(), collapsed
 
-    def _flush_staged(self) -> None:
-        """Assign sequence numbers to collapsed egress.
+    def _schedule_ingress(self, port, batch) -> None:
+        _dst_host, shape, arrivals, created, counts = batch
+        schedule_at = self.sim.schedule_at
+        ingress = self._ingress
+        for i, arrival in enumerate(arrivals):
+            schedule_at(arrival, ingress, port, shape, created[i],
+                        1 if counts is None else counts[i])
 
-        Staged records are seq-less; sorting by delivery time and
-        numbering in that order reproduces the exact run's host-global
-        egress sequence (uplink deliveries execute in time order;
-        cross-port ties are measure-zero).
+    def _run_ahead(self, until: float, rx_bps: float) -> bool:
+        """Replay every collapsed flow's wire side ahead, then hand out
+        the egress below the common transmit horizon.
+
+        The horizon stops at ``until`` (inclusive: the exact run ends
+        its last window there), at the engine's next event (which may
+        change what the flows transmit), and wherever a flow's DMA
+        backlog bound stops proving that the transmit drop cannot fire
+        (:meth:`~repro.sim.fluid_host.FluidHostFlow.run_ahead`).
+        Returns whether any flow is still collapsed.
         """
-        staged = self._staged
-        if not staged:
-            return
-        staged.sort(key=lambda record: record["t"])
+        flows = [flow for flow in self.bed.fluid_flows if flow.active]
+        if not flows:
+            return False
+        nxt = self.sim.peek()
+        if nxt is None or nxt > until:
+            limit, inclusive = until, True
+        else:
+            limit, inclusive = nxt, False
+        for flow in flows:
+            flow.run_ahead(limit, inclusive, rx_bps)
+        # Every delivery below the smallest transmit cursor is known on
+        # every port; none past ``until`` leaves before the exact run's
+        # next window does.
+        cursor = min(flow._w_next for flow in flows)
+        if cursor > until:
+            cursor, inclusive = until, True
+        else:
+            inclusive = False
+        self._number_egress([(flow, flow.take_egress(cursor, inclusive))
+                             for flow in flows])
+        return True
+
+    def _number_egress(self, taken) -> None:
+        """Hand out collapsed egress ``[(flow, (times, created))]``
+        with sequence numbers assigned in delivery-time order across
+        ports, which reproduces the exact run's host-global egress
+        sequence (cross-port ties are measure-zero)."""
         seq = self._egress_seq
-        outbound = self._outbound
-        for record in staged:
-            record["seq"] = seq
-            seq += 1
-            outbound.append(record)
+        if len(taken) == 1:
+            flow, (times, created) = taken[0]
+            end = seq + len(times)
+            seqs = [range(seq, end)]
+            seq = end
+        else:
+            order = sorted((t, k, i) for k, (_flow, (times, _created))
+                           in enumerate(taken) for i, t in enumerate(times))
+            seqs = [[0] * len(times) for _flow, (times, _c) in taken]
+            for _t, k, i in order:
+                seqs[k][i] = seq
+                seq += 1
         self._egress_seq = seq
-        self._staged = []
+        for (flow, (times, created)), flow_seqs in zip(taken, seqs):
+            if times:
+                batch = self._batch_for(flow.egress_shape)
+                batch[1].extend(times)
+                batch[2].extend(flow_seqs)
+                batch[3].extend(created)
+
+    def _batch_for(self, shape: tuple) -> tuple:
+        """This round's egress batch for one frame shape."""
+        batch = self._outbound.get(shape)
+        if batch is None:
+            batch = (shape, [], [], [])
+            self._outbound[shape] = batch
+        return batch
 
     def _evict_fluid(self) -> None:
         """Take every collapsed flow exact, together, for good.
 
         The egress sequence column is host-global, so the flows must
-        leave as a unit: replay everyone to the present, flush the
-        staged records (their seqs predate anything the exact engine
-        will now emit), then materialize rings and re-arm real timers.
+        leave as a unit: replay everyone to the present, hand out the
+        egress delivered by then (their seqs predate anything the exact
+        engine will now emit), then materialize rings and re-arm real
+        timers.  Egress handed out ahead of the present becomes a
+        promise the exact engine must keep (:meth:`_egress`).
         """
         flows = [flow for flow in self.bed.fluid_flows if flow.active]
         now = self.sim.now
@@ -396,7 +468,13 @@ class Host:
             flow.active = False
         for flow in flows:
             flow._advance(now, inclusive=False)
-        self._flush_staged()
+        if flows:
+            split = [flow.split_egress() for flow in flows]
+            self._number_egress([(flow, delivered) for flow, (delivered, _p)
+                                 in zip(flows, split)])
+            self._promised.extend(sorted(
+                entry for _delivered, promised in split
+                for entry in promised))
         for flow in flows:
             flow._finish_decollapse()
             self.bed.record_fluid_rejection("host_evicted")
@@ -408,35 +486,41 @@ class Host:
 
         ``t`` is the moment the frame clears this host's wire — the
         coordinator's ToR model adds fabric latency and serialization on
-        top.  Records are plain data so they cross process boundaries
-        (and the float bits in them survive pickling exactly).
+        top.  Frames batch per shape as plain floats and ints, so they
+        cross process boundaries (and the float bits in them survive
+        pickling exactly).
         """
         self.uplink_tx_frames += 1
-        self._outbound.append({
-            "t": self.sim.now,
-            "src_host": self.index,
-            "seq": self._egress_seq,
-            "src": packet.src.value,
-            "dst": packet.dst.value,
-            "size": packet.size_bytes,
-            "vlan": packet.vlan,
-            "protocol": packet.protocol.value,
-            "flow_id": packet.flow_id,
-            "created_at": packet.created_at,
-        })
+        now = self.sim.now
+        promised = self._promised
+        if promised:
+            # Handed out (and numbered) while collapsed: the exact
+            # engine must reproduce it, and it is not sent twice.
+            if promised.popleft() != (now, packet.created_at):
+                raise HorizonError(
+                    f"host {self.spec.name!r}: exact egress at t={now!r} "
+                    f"differs from the egress handed out while collapsed")
+            return
+        batch = self._batch_for((self.index, packet.src.value,
+                                 packet.dst.value, packet.size_bytes,
+                                 packet.vlan, packet.protocol.value,
+                                 packet.flow_id))
+        batch[1].append(now)
+        batch[2].append(self._egress_seq)
+        batch[3].append(packet.created_at)
         self._egress_seq += 1
 
-    def _ingress(self, message: dict, port) -> None:
+    def _ingress(self, port, shape: tuple, created_at: float,
+                 count: int) -> None:
         """Fabric delivery: rebuild the frame(s) from this host's pool
         and hand them to the owning port's wire side.  ``created_at`` is
         the original send time, so end-to-end latency spans the fabric;
-        ``count`` (default 1) rebuilds a whole routed burst at once."""
+        ``count`` rebuilds a whole routed record at once."""
+        _src_host, src, dst, size, vlan, protocol, flow_id = shape
         burst = self.bed.packet_pool.acquire_burst(
-            message.get("count", 1), MacAddress(message["src"]),
-            MacAddress(message["dst"]),
-            message["size"], vlan=message["vlan"],
-            protocol=_PROTOCOLS[message["protocol"]],
-            flow_id=message["flow_id"], created_at=message["created_at"])
+            count, MacAddress(src), MacAddress(dst), size, vlan=vlan,
+            protocol=_PROTOCOLS[protocol], flow_id=flow_id,
+            created_at=created_at)
         port.wire_receive(burst)
 
     # ------------------------------------------------------------------

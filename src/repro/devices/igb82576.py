@@ -25,7 +25,7 @@ from typing import Callable, List, Optional
 from repro.devices.l2switch import L2Switch, SwitchTarget
 from repro.devices.mailbox import Mailbox
 from repro.hw.dma import DescriptorRing
-from repro.hw.iommu import Iommu, IommuFault
+from repro.hw.iommu import Iommu
 from repro.hw.msi import MsiMessage, MsixCapability
 from repro.hw.pcie.config_space import CAP_ID_MSIX, ConfigSpace
 from repro.hw.pcie.datapath import PcieDataPath
@@ -177,18 +177,26 @@ class _NetFunction:
             return 0
         if not burst:
             return 0
-        if self.port.rx_corrupt_budget > 0:
-            return self._device_receive_faulty(burst)
+        port = self.port
+        if port.rx_corrupt_budget > 0:
+            # Injected DMA/descriptor corruption: the leading writes land
+            # with a bad checksum; those frames are dropped and counted
+            # exactly as on an error-status descriptor.
+            corrupt = min(port.rx_corrupt_budget, len(burst))
+            port.rx_corrupt_budget -= corrupt
+            port.rx_corrupted += corrupt
+            self.rx_corrupt_drops += corrupt
+            burst = burst[corrupt:]
         # Burst fast path: the IOMMU context is resolved once, ring state
         # and translation tables are locals, and statistics land as one
         # batched update per burst.  Counter totals and per-packet
-        # accept/drop decisions are identical to the per-packet path.
+        # accept/drop decisions match walking the burst one by one.
         ring = self.rx_ring
         slots = ring.slots
         mask = ring._mask
         head = ring.head
         tail = ring.tail
-        iommu = self.port.iommu
+        iommu = port.iommu
         lookup = None
         no_context = False
         if iommu is not None:
@@ -252,37 +260,6 @@ class _NetFunction:
         iommu = self.port.iommu
         if iommu is not None:
             iommu.translations += accepted
-
-    def _device_receive_faulty(self, burst: List[Packet]) -> int:
-        """The exact per-packet path, kept for injected RX corruption."""
-        accepted = 0
-        iommu = self.port.iommu
-        for packet in burst:
-            if self.port.rx_corrupt_budget > 0:
-                # Injected DMA/descriptor corruption: the write lands
-                # with a bad checksum; the frame is dropped and counted
-                # exactly as on an error-status descriptor.
-                self.port.rx_corrupt_budget -= 1
-                self.port.rx_corrupted += 1
-                self.rx_corrupt_drops += 1
-                continue
-            if self.rx_ring.empty:
-                self.rx_no_desc_drops += 1
-                continue
-            slot = self.rx_ring.slots[self.rx_ring.head]
-            if iommu is not None:
-                try:
-                    iommu.translate(self._rid(), slot.buffer_addr, write=True)
-                except IommuFault:
-                    self.rx_dma_faults += 1
-                    continue
-            self.rx_ring.consume(packet)
-            self.rx_packets += 1
-            self.rx_bytes += packet.size_bytes
-            accepted += 1
-        if accepted:
-            self.throttle.request()
-        return accepted
 
     # ------------------------------------------------------------------
     # transmit side (device drains driver-posted descriptors)

@@ -9,7 +9,7 @@ egress queue is over-booked.
 
 The switch deliberately has **no event engine of its own**.  It is pure
 arithmetic over timestamps, driven by the cluster coordinator
-(:mod:`repro.cluster`): host engines hand it egress records, it answers
+(:mod:`repro.cluster`): host engines hand it egress frames, it answers
 with arrival times.  That keeps it trivially correct under the
 conservative lockstep synchronization — the same code computes the same
 floats whether the hosts run serially in one process or one process
@@ -80,13 +80,13 @@ class FabricSpec:
 class ToRSwitch:
     """Deterministic store-and-forward arithmetic between host uplinks.
 
-    ``route`` maps one egress record — ``{"t": wire time at the source
-    host's uplink, "dst": destination MAC as int, ...}`` — to the same
-    record with ``"dst_host"`` and ``"arrival"`` filled in, or ``None``
-    when the frame is dropped (unknown destination, or the egress queue
-    bound exceeded).  Per-destination egress serialization is booked in
-    call order, so callers must route frames in a globally deterministic
-    order (the coordinator sorts by (time, source host, sequence)).
+    ``route`` maps a batch of egress frames of one shape — wire times at
+    the source host's uplink, destination MAC as int, ... — to their
+    destination host and arrival times, dropping frames for an unknown
+    destination or past the egress queue bound.  Per-destination egress
+    serialization is booked in call order, so callers must route frames
+    in a globally deterministic order (the coordinator uses (time,
+    source host, sequence) per destination).
     """
 
     def __init__(self, spec: FabricSpec, host_count: int):
@@ -151,77 +151,137 @@ class ToRSwitch:
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
-    def route(self, message: dict) -> Optional[dict]:
-        """Route one record of ``count`` equal-sized frames (default 1).
+    def route(self, batch):
+        """Route a batch of equal-shaped frames, in order.
+
+        ``batch`` is ``(shape, times, seqs, created[, counts])``: the
+        shape tuple ``(src_host, src, dst, size, vlan, protocol,
+        flow_id)`` shared by every frame, then per-frame columns — wire
+        time at the source uplink, source sequence number, original send
+        time and (optionally) the frame count of each record.  Frames
+        are routed one after another, so a caller routing several
+        batches to one destination must interleave them in the global
+        ``(t, src_host, seq)`` order itself.  Returns ``(dst_host,
+        shape, arrivals, created, counts)`` for the forwarded frames
+        (``counts`` None when every record is a single frame), or None
+        when nothing was forwarded.
 
         The queue bound is applied per frame, not per record: frame *k*
-        of the burst sees a queueing delay of ``(start - ready) +
-        k * serialization``, so a burst that straddles the bound keeps
-        the fitting prefix and tail-drops only the remainder — dropping
-        the whole record would punish frames that had queue room.  The
-        returned record's ``count`` is the accepted prefix length and
-        ``arrival`` is when its last frame clears the egress port.
+        of a ``count``-frame record sees a queueing delay of ``(start -
+        ready) + k * serialization``, so a record that straddles the
+        bound keeps the fitting prefix and tail-drops only the remainder
+        — dropping the whole record would punish frames that had queue
+        room.  A forwarded record's count is its accepted prefix length
+        and its arrival is when its last frame clears the egress port.
+
+        A plain record dict (``t``, ``src_host``, ``dst``, ``size``,
+        ``vlan``, ``count``...) routes as a one-record batch and comes
+        back as the same dict with ``dst_host`` and ``arrival`` filled
+        in (and ``count`` cut to the accepted prefix), or None.
         """
-        count = message.get("count", 1)
-        self.offered += count
+        if isinstance(batch, dict):
+            return self._route_record(batch)
+        shape, times, _seqs, created = batch[:4]
+        counts = batch[4] if len(batch) > 4 else None
+        src_host, _src, dst, size, vlan = shape[:5]
         timeline = self._timeline
-        t = message["t"]
-        if timeline is not None and timeline.silenced(
-                message.get("src_host"), t):
-            # A paused/crashed host's frames never made it off the NIC
-            # onto the fabric — but the guest stack already booked them
-            # as offered, so account them as drained, not forwarded.
-            self.drained += count
-            return None
-        dst_host = self._mac_to_host.get(message["dst"])
-        if dst_host is None:
-            self.unknown_dst += count
-            return None
+        dst_host = self._mac_to_host.get(dst)
         if timeline is None:
-            ready = t + self.spec.latency_s
-            rate_factor = 1.0
-        else:
-            if timeline.partitioned(message.get("src_host"), dst_host, t):
-                self.dropped += count
-                self.dropped_partition += count
+            # Fault-free: no per-frame filter can fire before the
+            # destination lookup, so an unknown destination is decided
+            # for the whole batch.
+            offered = len(times) if counts is None else sum(counts)
+            self.offered += offered
+            if dst_host is None:
+                self.unknown_dst += offered
                 return None
-            ready = t + (self.spec.latency_s *
-                         timeline.latency_factor(
-                             message.get("src_host"), dst_host, t))
-            if timeline.unreachable(dst_host, ready):
-                # Every cable of the destination host is unplugged: the
-                # ToR's egress port has no carrier, frames black-hole.
-                self.dropped += count
-                self.dropped_unreachable += count
-                return None
-            rate_factor = timeline.rate_factor(
-                message.get("src_host"), dst_host, t)
-        start = max(ready, self._free_at[dst_host])
-        queued = start - ready
-        if queued > self._queue_bound_s:
-            self.dropped += count
+        frame_bytes = wire_bytes(size, vlan)
+        rate_bps = self.spec.rate_bps
+        latency = self.spec.latency_s
+        bound = self._queue_bound_s
+        line_serialize_s = frame_bytes * 8 / rate_bps
+        free_at = self._free_at[dst_host] if dst_host is not None else 0.0
+        arrivals: List[float] = []
+        kept_created: List[float] = []
+        kept_counts: List[int] = []
+        forwarded = dropped = 0
+        for i, t in enumerate(times):
+            count = 1 if counts is None else counts[i]
+            if timeline is None:
+                ready = t + latency
+                serialize_s = line_serialize_s
+            else:
+                self.offered += count
+                if timeline.silenced(src_host, t):
+                    # A paused/crashed host's frames never made it off
+                    # the NIC onto the fabric — but the guest stack
+                    # already booked them as offered, so account them
+                    # as drained, not forwarded.
+                    self.drained += count
+                    continue
+                if dst_host is None:
+                    self.unknown_dst += count
+                    continue
+                if timeline.partitioned(src_host, dst_host, t):
+                    dropped += count
+                    self.dropped_partition += count
+                    continue
+                ready = t + (latency * timeline.latency_factor(
+                    src_host, dst_host, t))
+                if timeline.unreachable(dst_host, ready):
+                    # Every cable of the destination host is unplugged:
+                    # the ToR's egress port has no carrier, frames
+                    # black-hole.
+                    dropped += count
+                    self.dropped_unreachable += count
+                    continue
+                serialize_s = (frame_bytes * 8 * timeline.rate_factor(
+                    src_host, dst_host, t) / rate_bps)
+            start = free_at if free_at > ready else ready
+            queued = start - ready
+            if queued > bound:
+                dropped += count
+                continue
+            fit = count
+            if count > 1 and serialize_s > 0.0:
+                fit = min(count, int((bound - queued) / serialize_s) + 1)
+            arrival = start + fit * serialize_s
+            if timeline is not None and timeline.silenced(dst_host, arrival):
+                # The destination pauses/crashes before the frames clear
+                # the egress port: they drain at the ToR.  No free_at
+                # booking — nothing was clocked onto the dead port.
+                self.drained += count
+                continue
+            free_at = arrival
+            forwarded += fit
+            if fit < count:
+                dropped += count - fit
+            arrivals.append(arrival)
+            kept_created.append(created[i])
+            kept_counts.append(fit)
+        self.forwarded += forwarded
+        self.forwarded_bytes += forwarded * frame_bytes
+        self.dropped += dropped
+        if not arrivals:
             return None
-        frame_bytes = wire_bytes(message["size"], message["vlan"])
-        serialize_s = frame_bytes * 8 * rate_factor / self.spec.rate_bps
-        fit = count
-        if count > 1 and serialize_s > 0.0:
-            fit = min(count,
-                      int((self._queue_bound_s - queued) / serialize_s) + 1)
-        arrival = start + fit * serialize_s
-        if timeline is not None and timeline.silenced(dst_host, arrival):
-            # The destination pauses/crashes before the frames clear the
-            # egress port: they drain at the ToR.  No _free_at booking —
-            # nothing was actually clocked onto the dead port.
-            self.drained += count
+        self._free_at[dst_host] = free_at
+        return (dst_host, shape, arrivals, kept_created,
+                None if counts is None else kept_counts)
+
+    def _route_record(self, message: dict) -> Optional[dict]:
+        count = message.get("count", 1)
+        shape = (message.get("src_host"), message["src"], message["dst"],
+                 message["size"], message["vlan"], message["protocol"],
+                 message["flow_id"])
+        routed = self.route((shape, [message["t"]], [message.get("seq")],
+                             [message["created_at"]], [count]))
+        if routed is None:
             return None
-        self._free_at[dst_host] = arrival
-        self.forwarded += fit
-        self.forwarded_bytes += fit * frame_bytes
-        if fit < count:
-            self.dropped += count - fit
-            message["count"] = fit
+        dst_host, _shape, arrivals, _created, counts = routed
+        if counts[0] < count:
+            message["count"] = counts[0]
         message["dst_host"] = dst_host
-        message["arrival"] = arrival
+        message["arrival"] = arrivals[0]
         return message
 
     def reset_counters(self) -> None:

@@ -3,20 +3,34 @@
 Multi-host scenarios give every host its own :class:`~repro.sim.engine
 .Simulator`.  The engines stay causally consistent the SimBricks way:
 nothing crosses the fabric in less than the uplink latency ``L``, so
-each engine may free-run up to ``min(next event anywhere) + L`` without
-risk of receiving a message from its past.  :class:`LockstepBarrier`
+each engine may free-run up to ``min(egress frontier anywhere) + L``
+without risk of receiving a message from its past.  :class:`LockstepBarrier`
 computes those windows; the cluster coordinator drives every host to
 each window end, exchanges the messages that surfaced, and repeats.
 
-Two properties the rest of the stack leans on:
+Each engine reports an **egress frontier**: no message it emits from
+now on can leave it before that time.  An engine stepping event by
+event reports its next event, lowered to the earliest routed message
+still waiting to be injected into it.  An engine that replays its
+transmit side ahead (a collapsed cluster host,
+:mod:`repro.sim.fluid_host`) reports the horizon it has already
+transmitted to: everything it sends below that time is already in the
+coordinator's hands, and a message injected into it cannot make it send
+earlier.  Two properties the rest of the stack leans on:
 
-* **No time travel.**  Any message emitted at time ``t`` inside a
-  window arrives at ``t + L`` or later; the window ends at or before
-  ``floor + L`` where ``floor <= t``, so arrivals always land at or
-  after every engine's clock.  ``schedule_at`` never sees the past.
-* **Determinism.**  Window boundaries depend only on event timestamps
-  and pending arrivals — pure float arithmetic, identical whether the
-  hosts step serially in one process or in parallel worker processes.
+* **No time travel.**  A window ends at or before ``floor + L``, where
+  ``floor`` is the smallest frontier.  Any message an engine emits from
+  here on leaves at some ``t >= floor`` and arrives at ``t + L`` plus a
+  positive serialization, strictly after the window end — so arrivals
+  always land after every engine's clock and ``schedule_at`` never sees
+  the past.  Messages an engine handed over early (below its frontier)
+  are routed only once every other frontier has passed them, so each
+  destination still sees its arrivals in the global ``(t, source,
+  sequence)`` order.
+* **Determinism.**  Window boundaries depend only on event timestamps,
+  frontiers and pending arrivals — pure float arithmetic, identical
+  whether the hosts step serially in one process or in parallel worker
+  processes.
 """
 
 from __future__ import annotations
@@ -36,19 +50,21 @@ class LockstepBarrier:
         self.windows = 0
 
     def next_window(self, until: float,
-                    peeks: Iterable[Optional[float]],
-                    pending_arrivals: Iterable[float]) -> Optional[float]:
-        """The next safe horizon, or None when nothing remains.
+                    frontiers: Iterable[Optional[float]],
+                    pending_arrivals: Iterable[float]) -> float:
+        """The next safe horizon; ``until`` when no work precedes it.
 
-        ``peeks`` are each engine's next-event timestamp (None for an
-        idle engine); ``pending_arrivals`` are cross-engine messages
-        already routed but not yet injected.  Returns ``until`` when no
-        work precedes the horizon — the caller runs everyone to
-        ``until`` and stops — and None when additionally every engine
-        is already at ``until``.
+        ``frontiers`` are the engines' egress frontiers (None for an
+        idle engine); ``pending_arrivals`` are routed cross-engine
+        messages not yet injected into an engine whose frontier they
+        bound (see the module docstring).  The window is the smallest
+        of them plus the lookahead, clamped to ``until``.  When nothing
+        lies at or below ``until`` the caller runs everyone to
+        ``until`` and stops; that free run is not counted in
+        :attr:`windows`.
         """
         floor = None
-        for candidate in list(peeks) + list(pending_arrivals):
+        for candidate in list(frontiers) + list(pending_arrivals):
             if candidate is None or candidate > until:
                 continue
             if floor is None or candidate < floor:

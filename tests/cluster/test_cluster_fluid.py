@@ -8,9 +8,9 @@ flat arithmetic inside each host's window.  Two run shapes are
 deliberately *not* part of the identity check:
 
 * per-host ``events_executed`` (the whole point is fewer events), and
-* the coordinator's ``sync_windows`` (collapsed flows surface wider
-  barriers because interrupt fires are invisible to ``peek()`` — pure
-  synchronization, not results).
+* the coordinator's ``sync_windows`` (collapsed hosts transmit ahead
+  to a certified horizon and fires are invisible to their frontier, so
+  windows are far wider — pure synchronization, not results).
 
 Everything else in the RunResult dict must match bit for bit, and the
 event identity ``events_executed + collapsed_events == exact
@@ -18,6 +18,8 @@ events_executed`` must hold exactly.
 """
 
 import json
+
+import pytest
 
 from repro.api import Scenario, run
 from repro.cluster.process import ProcessHost
@@ -263,3 +265,129 @@ class TestClusterFaultMidWindow:
         assert _normalize_hosts(fluid) == _normalize_hosts(exact)
         assert fluid["a"]["events_executed"] == 0
         assert fluid["a"]["events_collapsed"] > 0
+
+
+# ----------------------------------------------------------------------
+# The transmit horizon: collapsed hosts replay their wire side ahead of
+# the window as far as the DMA backlog bound certifies, hand the egress
+# out early, and lockstep windows widen to that horizon.
+# ----------------------------------------------------------------------
+
+_INCAST = dict(
+    hosts=[{"name": "a", "vm_count": 1, "ports": 1},
+           {"name": "b", "vm_count": 1, "ports": 1},
+           {"name": "c", "vm_count": 1, "ports": 1}],
+    flows=[{"src_host": "a", "dst_host": "c", "offered_bps": 400e6},
+           {"src_host": "c", "dst_host": "a", "offered_bps": 400e6},
+           {"src_host": "b", "dst_host": "c", "offered_bps": 300e6}])
+
+
+def _spy(monkeypatch, cls, name, record):
+    """Wrap ``cls.name`` so each call appends ``record(self)`` after it."""
+    original = getattr(cls, name)
+    seen = []
+
+    def wrapper(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        seen.append(record(self))
+        return result
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return seen
+
+
+class TestTransmitHorizon:
+    def test_fig22_shape_runs_in_under_a_thousand_windows(self):
+        # The benchmark's cluster_fluid shape: a ~1 ms certified horizon
+        # per round instead of one 20 us fabric latency (34,388 rounds).
+        result = run(_scenario(
+            "fluid",
+            flows=[{"src_host": "a", "dst_host": "b",
+                    "offered_bps": 900e6},
+                   {"src_host": "b", "dst_host": "a",
+                    "offered_bps": 900e6}],
+            warmup=0.3, duration=0.5, seed=42))
+        assert result.fluid["events_executed"] == 0
+        assert result.extras["cluster"]["sync_windows"] < 1000
+
+    def test_exact_windows_are_untouched(self):
+        # Exact hosts report their next event as the frontier, so the
+        # exact run keeps its window count (2,573 for this shape).
+        result = run(_scenario("exact"))
+        assert result.extras["cluster"]["sync_windows"] == 2573
+
+    def test_fast_fabric_certifies_no_tick_ahead(self, monkeypatch):
+        # At 1 Tb/s the fabric could refill the DMA pipe's 2 ms of
+        # backlog headroom in ~11 us — less than one burst interval — so
+        # the bound certifies no tick and windows stay narrow.
+        from repro.sim.fluid_host import FluidHostFlow
+        ahead = _spy(monkeypatch, FluidHostFlow, "run_ahead",
+                     lambda flow: len(flow._ticks))
+        fast = {"uplink_gbps": 1000.0, "latency_s": 2e-5}
+        _, fluid = _assert_equivalent(fabric=fast)
+        assert ahead and max(ahead) == 0
+        ahead.clear()
+        wide = run(_scenario("fluid"))
+        assert max(ahead) > 0
+        assert (fluid.extras["cluster"]["sync_windows"]
+                > 2 * wide.extras["cluster"]["sync_windows"])
+
+    def test_incast_eviction_inside_the_horizon(self, monkeypatch):
+        # b's first frame is a second inbound shape for c: c leaves the
+        # fast path with egress already handed out ahead of its clock.
+        # Those frames become promises the exact engine must reproduce
+        # one for one (Host._egress raises on any difference), so
+        # nothing is sent twice or lost.
+        from repro.core.host import Host
+        promised = _spy(monkeypatch, Host, "_evict_fluid",
+                        lambda host: (host.spec.name, len(host._promised)))
+        exact, fluid = _assert_equivalent(**_INCAST)
+        assert promised and promised[0][0] == "c" and promised[0][1] > 0
+        assert fluid.fluid["rejections"] == {"host_evicted": 1}
+        assert fluid.loss_rate == exact.loss_rate
+        monkeypatch.undo()
+        parallel = run(_scenario("fluid", **_INCAST), parallel_hosts=True)
+        assert (json.dumps(parallel.to_dict(), sort_keys=True)
+                == json.dumps(fluid.to_dict(), sort_keys=True))
+
+    def test_contradicted_bound_raises(self):
+        # A DMA booking the bound did not account for (here forged onto
+        # host a's pipe) makes a certified tick's drop check fire: the
+        # merged replay refuses to diverge from the egress it handed out.
+        from repro.core.host import HorizonError
+        specs = [HostSpec.from_dict(h, i) for i, h in enumerate(
+            [{"name": "a", "vm_count": 1, "ports": 1},
+             {"name": "b", "vm_count": 1, "ports": 1}])]
+        fabric = FabricSpec.from_dict({"uplink_gbps": 10.0,
+                                       "latency_s": 2e-5})
+        runners = [InProcessHost(spec, i, costs=CostModel().validate(),
+                                 base_seed=7, audit=False, telemetry=False,
+                                 sim_mode="fluid")
+                   for i, spec in enumerate(specs)]
+        tor = ToRSwitch(fabric, 2)
+        tables = [runner.mac_table() for runner in runners]
+        for index, table in enumerate(tables):
+            for mac in table.values():
+                tor.learn(mac, index)
+        for src, dst in ((0, 1), (1, 0)):
+            runners[src].configure_flows([{
+                "src_vm": 0, "dst_mac": tables[dst][0],
+                "offered_bps": 400e6, "message_bytes": 1500,
+                "protocol": "udp", "flow_id": src + 1}])
+        host = runners[0].host
+        flow = host.bed.fluid_flows[0]
+        run_ahead = host._run_ahead
+        forged = []
+
+        def forge_after_run_ahead(until, rx_bps):
+            collapsed = run_ahead(until, rx_bps)
+            if not forged and host.sim.now > 0.005 and flow._ticks:
+                flow.port.datapath._busy_until += 1.0
+                forged.append(host.sim.now)
+            return collapsed
+
+        host._run_ahead = forge_after_run_ahead
+        coordinator = ClusterCoordinator(runners, tor, fabric.latency_s)
+        with pytest.raises(HorizonError, match="certified"):
+            coordinator.run(0.02)
+        assert forged

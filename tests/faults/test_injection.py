@@ -6,6 +6,9 @@ fault counters, and the same scenario with no faults must not even
 build an injector.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.api import Scenario, run
@@ -95,6 +98,39 @@ class TestDmaAndInterruptFaults:
              "delay": 50e-6},
         ]))
         assert again.to_dict() == faulted.to_dict()
+
+
+#: sha256 of ``RunResult.to_dict()`` (sorted JSON) for one
+#: ``dma_corruption`` fault on port 0 of the small SR-IOV shape, keyed
+#: by (at, count).  Pinned from the per-packet corruption loop the
+#: batched receive path replaced: the budget drops the leading frames
+#: of a burst, and the rest take the ordinary path.
+CORRUPTION_DIGESTS = {
+    (0.05, 3):
+        "0c9a3640d7f63ce2a2d014fa7baa8a073dad088ee6fa13eea1aaba6d48659be7",
+    (0.05, 40):
+        "3d3d7ef1e8fb22748ac39ac819f296fffdebdb898364e5b6a84177c30a385382",
+    (0.05, 500):
+        "60f2a0c478d5c88fa1db3c38247051ddf353b150c4643acb4dbb06ce43b173b6",
+    (0.2501, 3):
+        "aad9aa5a08651cbe276941496a2fdda38773ec940bd35a3fa7647334ca9e3452",
+    (0.2501, 40):
+        "d4b66bc1c1e972862426e072d07b36d393a4216aab99c19263de02556d7dc87d",
+    (0.2501, 500):
+        "c320b53821e256e50d637528d6e06c802a1a8009a3d1890bc837b5d3e0cc07c1",
+}
+
+
+class TestCorruptionResultsPinned:
+    @pytest.mark.parametrize("at,count", sorted(CORRUPTION_DIGESTS))
+    def test_corrupted_run_matches_pinned_digest(self, at, count):
+        result = run(_small_sriov(faults=[
+            {"kind": "dma_corruption", "at": at, "count": count,
+             "port": 0}]))
+        assert result.extras["faults"]["dma_corrupted"] == count
+        payload = json.dumps(result.to_dict(), sort_keys=True)
+        assert (hashlib.sha256(payload.encode()).hexdigest()
+                == CORRUPTION_DIGESTS[(at, count)])
 
 
 class TestFaultFreeRuns:
