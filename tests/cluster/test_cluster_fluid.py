@@ -341,8 +341,24 @@ class TestTransmitHorizon:
         from repro.core.host import Host
         promised = _spy(monkeypatch, Host, "_evict_fluid",
                         lambda host: (host.spec.name, len(host._promised)))
+        routed = []
+        route = ToRSwitch.route
+
+        def recording_route(tor, batch):
+            shape, times, seqs, created = batch[:4]
+            routed.extend((shape[0], t, seq, c)
+                          for t, seq, c in zip(times, seqs, created))
+            return route(tor, batch)
+
+        monkeypatch.setattr(ToRSwitch, "route", recording_route)
         exact, fluid = _assert_equivalent(**_INCAST)
         assert promised and promised[0][0] == "c" and promised[0][1] > 0
+        # Every frame any host sent, warm-up included, reached the ToR
+        # exactly once, with the exact run's time, sequence number and
+        # send time.
+        half = len(routed) // 2
+        assert len(routed) == 2 * half
+        assert sorted(routed[half:]) == sorted(routed[:half])
         assert fluid.fluid["rejections"] == {"host_evicted": 1}
         assert fluid.loss_rate == exact.loss_rate
         monkeypatch.undo()
