@@ -1,7 +1,11 @@
-"""Unit tests for the conservative lockstep window calculator."""
+"""The conservative lockstep window rule: unit tests and properties."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.cluster.runner import ClusterCoordinator
+from repro.net.fabric import FabricSpec, ToRSwitch
 from repro.sim.sync import LockstepBarrier
 
 
@@ -53,12 +57,6 @@ class TestLockstepBarrier:
 # The frontier window rule, on generated inputs, through the real
 # coordinator and ToR with stand-in hosts.
 # ----------------------------------------------------------------------
-
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
-from repro.cluster.runner import ClusterCoordinator  # noqa: E402
-from repro.net.fabric import FabricSpec, ToRSwitch  # noqa: E402
 
 _LATENCY = 2e-5
 
