@@ -294,9 +294,9 @@ def run_cluster(scenario, *, costs: Optional[CostModel] = None,
     if faults:
         from repro.faults.cluster import split_plan
         cluster_plan = split_plan(faults, host_specs)
-        # Faults force the exact datapath, same as single-host mode:
-        # the collapsed-window replay cannot express mid-window carrier
-        # or fabric perturbations.
+        # Faults force the exact datapath (the collapsed-window replay
+        # cannot express mid-window carrier or fabric perturbations),
+        # counted below as one ``faults`` rejection per stream.
         sim_mode = "exact"
 
     def host_faults(spec):
@@ -416,8 +416,10 @@ def _aggregate(scenario, host_results: List[dict], tor: ToRSwitch,
     # run's key set (events_executed aside, a fluid run's extras are
     # byte-identical to exact).
     fluid = None
-    if any("events_collapsed" in result for result in host_results):
-        rejections: Dict[str, int] = {}
+    if getattr(scenario, "sim_mode", "exact") == "fluid":
+        rejections: Dict[str, int] = (
+            {"faults": len(scenario.flows or ())}
+            if getattr(scenario, "faults", None) else {})
         collapsed_by_host: Dict[str, int] = {}
         collapsed = executed = flow_count = 0
         for result in host_results:

@@ -193,11 +193,11 @@ class ExperimentRunner:
             raise ValueError(f"sim_mode must be 'exact' or 'fluid', "
                              f"not {sim_mode!r}")
         #: Datapath mode: ``"fluid"`` lets eligible steady-state SR-IOV
-        #: runs ride the collapsed-window fast path
+        #: streams ride the collapsed-window fast path
         #: (:mod:`repro.sim.fluid`); results are byte-identical by
-        #: construction and ineligible runs fall back to exact
-        #: wholesale.  Only :meth:`run_sriov` (and therefore
-        #: :meth:`run_native`) consults it.
+        #: construction and each ineligible stream stays exact under a
+        #: named gate.  :meth:`run_sriov` (and therefore
+        #: :meth:`run_native`) and :meth:`run_intervm_sriov` consult it.
         self.sim_mode = sim_mode
         self.warmup = warmup
         self.duration = duration
@@ -292,20 +292,11 @@ class ExperimentRunner:
                 policy_factory = lambda: AdaptiveCoalescing(self.costs)
             else:
                 policy_factory = lambda: FixedItr(2000)
-        sim_mode = self.sim_mode
-        if sim_mode == "fluid" and self.faults:
-            # Wholesale fallback: fault plans perturb mid-run state at
-            # injector-chosen instants, outside the fluid exactness
-            # contract.  The exact run is byte-identical to
-            # sim_mode="exact" by construction.  Shared ports now
-            # collapse through FluidPortGroup's merged replay and
-            # adaptive policies through the ITR-write settle hook, so
-            # only faults still force the whole run exact; anything
-            # else ineligible is caught stream-by-stream in try_attach.
-            sim_mode = "exact"
+        # Anything ineligible — a fault plan included (the ``faults``
+        # gate) — is caught stream-by-stream in FluidFlow.try_attach.
         config = self._config(
             ports=ports, vfs_per_port=vfs_per_port,
-            opts=opts_obj, native=native, nic=nic, sim_mode=sim_mode,
+            opts=opts_obj, native=native, nic=nic, sim_mode=self.sim_mode,
         )
         bed = Testbed(config)
         guests = [bed.add_sriov_guest(kind, kernel, policy_factory())
@@ -451,9 +442,8 @@ class ExperimentRunner:
         """
         if sender not in ("guest", "dom0"):
             raise ValueError(f"sender must be 'guest' or 'dom0', not {sender!r}")
-        sim_mode = "exact" if self.faults else self.sim_mode
         config = self._config(ports=1, opts=OptimizationConfig.all(),
-                              sim_mode=sim_mode)
+                              sim_mode=self.sim_mode)
         # Inter-VM rates exceed the line rate, so the driver must scale
         # its interrupt frequency with them — AIC by default (§5.3's
         # Fig. 10 is exactly this scenario).
@@ -482,7 +472,7 @@ class ExperimentRunner:
             burst_interval=100e-6, name="intervm",
             pool=bed.packet_pool,
         )
-        if sim_mode == "fluid":
+        if self.sim_mode == "fluid":
             from repro.sim.fluid import FluidLoopbackFlow
             flow = FluidLoopbackFlow(bed, receiver, stream, sender_domain,
                                      tx_function, tx_driver)

@@ -378,7 +378,7 @@ class Testbed:
         the whole port runs exact — collapsed and exact streams cannot
         interleave their bookings.
         """
-        from repro.sim.fluid import FluidFlow, FluidPortGroup
+        from repro.sim.fluid import FluidFlow
         port = guest.port
         group = self._fluid_groups.get(id(port))
         if group is not None and group.dead:
@@ -400,18 +400,12 @@ class Testbed:
                 self._evict_port_fluid(port)
             return
         if prior_streams > 0:
-            if group is None:
-                group = FluidPortGroup(self, port)
-                self._fluid_groups[id(port)] = group
-                for other in self.fluid_flows:
-                    if other.port is port and other.group is None:
-                        group.add(other)
-            group.add(flow)
+            self._port_group(port).add(flow)
         self.fluid_flows.append(flow)
 
-    def _evict_port_fluid(self, port) -> None:
-        """Force every collapsed stream on ``port`` exact (a stream
-        that cannot collapse arrived)."""
+    def _port_group(self, port):
+        """The port's :class:`repro.sim.fluid.FluidPortGroup`, made on
+        first use from the port's collapsed streams."""
         from repro.sim.fluid import FluidPortGroup
         group = self._fluid_groups.get(id(port))
         if group is None:
@@ -420,7 +414,12 @@ class Testbed:
             for other in self.fluid_flows:
                 if other.port is port and other.group is None:
                     group.add(other)
-        group.evict()
+        return group
+
+    def _evict_port_fluid(self, port) -> None:
+        """Force every collapsed stream on ``port`` exact (a stream
+        that cannot collapse arrived)."""
+        self._port_group(port).evict()
 
     def settle_fluid(self) -> None:
         """Apply every collapsed tick up to (and including) the current

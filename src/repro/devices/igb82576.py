@@ -171,21 +171,21 @@ class _NetFunction:
     # ------------------------------------------------------------------
     def device_receive(self, burst: List[Packet]) -> int:
         """DMA a burst into this function's RX ring; returns accepted."""
-        self.rx_offered += len(burst)
+        offered = len(burst)
         if not self.enabled:
-            self.rx_no_desc_drops += len(burst)
+            self.account_rx(offered, 0, 0, no_desc=offered)
             return 0
         if not burst:
             return 0
         port = self.port
+        corrupt = 0
         if port.rx_corrupt_budget > 0:
             # Injected DMA/descriptor corruption: the leading writes land
             # with a bad checksum; those frames are dropped and counted
             # exactly as on an error-status descriptor.
-            corrupt = min(port.rx_corrupt_budget, len(burst))
+            corrupt = min(port.rx_corrupt_budget, offered)
             port.rx_corrupt_budget -= corrupt
             port.rx_corrupted += corrupt
-            self.rx_corrupt_drops += corrupt
             burst = burst[corrupt:]
         # Burst fast path: the IOMMU context is resolved once, ring state
         # and translation tables are locals, and statistics land as one
@@ -228,36 +228,32 @@ class _NetFunction:
             accepted += 1
             rx_bytes += packet.size_bytes
         ring.head = head
-        ring.completed += accepted
-        self.rx_packets += accepted
-        self.rx_bytes += rx_bytes
-        if no_desc:
-            self.rx_no_desc_drops += no_desc
-        if faults:
-            self.rx_dma_faults += faults
-            iommu.faults += faults
-        if iommu is not None:
-            iommu.translations += accepted
+        self.account_rx(offered, accepted, rx_bytes, no_desc, faults,
+                        corrupt)
         if accepted:
             self.throttle.request()
         return accepted
 
-    def fluid_receive(self, count: int, accepted: int, rx_bytes: int) -> None:
-        """Apply a collapsed burst's receive statistics arithmetically.
-
-        The fluid datapath (:mod:`repro.sim.fluid`) has already made the
-        accept/drop decision from the frozen ring capacity; this mirrors
-        the batched statistics update of :meth:`device_receive` without
-        walking descriptors.  The throttle request is the caller's job —
-        the fluid mode replays it virtually per tick.
-        """
-        self.rx_offered += count
+    def account_rx(self, offered: int, accepted: int, rx_bytes: int,
+                   no_desc: int = 0, faults: int = 0,
+                   corrupt: int = 0) -> None:
+        """Receive statistics for ``offered`` packets: ``accepted`` of
+        them (``rx_bytes`` in all) written into the ring, the rest
+        dropped for want of a descriptor, on an IOMMU fault or as
+        corrupted.  Booked per burst, or per collapsed window by the
+        fluid datapath."""
+        self.rx_offered += offered
         self.rx_packets += accepted
         self.rx_bytes += rx_bytes
-        if count != accepted:
-            self.rx_no_desc_drops += count - accepted
         self.rx_ring.completed += accepted
+        if no_desc:
+            self.rx_no_desc_drops += no_desc
+        if corrupt:
+            self.rx_corrupt_drops += corrupt
         iommu = self.port.iommu
+        if faults:
+            self.rx_dma_faults += faults
+            iommu.faults += faults
         if iommu is not None:
             iommu.translations += accepted
 
@@ -499,19 +495,6 @@ class Igb82576Port:
     def wire_receive_one(self, packet: Packet) -> None:
         """Link-compatible single-packet ingress."""
         self.wire_receive([packet])
-
-    def fluid_wire_receive(self, count: int, wire_bytes: int,
-                           at: float) -> None:
-        """Apply a collapsed burst's wire-side books as of time ``at``.
-
-        Mirrors :meth:`wire_receive`'s counter and DMA bookings for a
-        burst whose classification the fluid datapath already pinned to
-        a single function; the booking time is passed explicitly because
-        collapsed ticks are applied lazily (after ``sim.now`` has moved
-        past the instant the exact run would have booked them).
-        """
-        self.wire_rx_packets += count
-        self.datapath.transfer_at(at, wire_bytes)
 
     # ------------------------------------------------------------------
     # transmit routing

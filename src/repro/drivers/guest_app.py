@@ -27,6 +27,15 @@ from repro.sim.stats import Histogram
 LATENCY_BIN = 10e-6
 
 
+def _payload(size_bytes: int, protocol: Protocol) -> int:
+    """Transport payload of one packet: application goodput counts it,
+    matching how netperf reports throughput (957 Mbps = payload over a
+    1 Gbps line, not wire bytes)."""
+    if protocol is Protocol.UDP:
+        return size_bytes - IP_HEADER_BYTES - UDP_HEADER_BYTES
+    return size_bytes - IP_HEADER_BYTES - TCP_HEADER_BYTES
+
+
 class NetserverApp:
     """Receives packet batches through a bounded socket buffer."""
 
@@ -44,8 +53,6 @@ class NetserverApp:
         #: dominated by the interrupt-coalescing delay, the §5.3
         #: latency/CPU tradeoff.
         self.latency = Histogram(LATENCY_BIN, f"{name}.latency")
-        self._started_at: Optional[float] = None
-        self._last_rx_at: float = 0.0
 
     def deliver(self, burst: List[Packet], now: float = 0.0,
                 capped: bool = True) -> Tuple[int, int]:
@@ -54,77 +61,79 @@ class NetserverApp:
         ``capped`` applies the per-interrupt socket-buffer bound — the
         VF ISR path where the whole coalescing window lands at once.
         Flow-controlled paths (netback's copy, which paces itself
-        against the frontend ring) pass ``capped=False``.
+        against the frontend ring) pass ``capped=False``.  Accepted
+        packets are booked as runs of equal send time, size and
+        protocol (a netperf burst is one run).
         """
-        if self._started_at is None:
-            self._started_at = now
-        self._last_rx_at = now
-        accepted = min(len(burst), self.batch_capacity) if capped else len(burst)
-        dropped = len(burst) - accepted
-        self.rx_packets += accepted
-        # Application goodput counts transport payload, matching how
-        # netperf reports throughput (957 Mbps = payload over a 1 Gbps
-        # line, not wire bytes).  This loop runs once per delivered
-        # packet — the simulation's highest call count — so both the
-        # ``Packet.payload_bytes`` property and ``Histogram.add`` are
-        # inlined.  The histogram accumulators are updated in the exact
-        # per-packet float order the method calls produced, so means
-        # and percentiles stay bit-identical.
-        payload = 0
-        udp = Protocol.UDP
-        udp_overhead = IP_HEADER_BYTES + UDP_HEADER_BYTES
-        tcp_overhead = IP_HEADER_BYTES + TCP_HEADER_BYTES
-        latency = self.latency
-        bins = latency._bins
-        bin_get = bins.get
-        bin_width = latency.bin_width
-        lat_count = latency._count
-        lat_sum = latency._sum
-        lat_sum_sq = latency._sum_sq
-        floor = math.floor
+        total = len(burst)
+        accepted = min(total, self.batch_capacity) if capped else total
+        latencies: List[float] = []
+        counts: List[int] = []
+        payloads: List[int] = []
+        created = size = protocol = None
         for packet in burst[:accepted]:
+            if (packet.created_at == created and packet.size_bytes == size
+                    and packet.protocol is protocol):
+                counts[-1] += 1
+                continue
+            created = packet.created_at
             size = packet.size_bytes
-            bytes_ = size - (udp_overhead if packet.protocol is udp
-                             else tcp_overhead)
-            if bytes_ > 0:
-                payload += bytes_
-            value = now - packet.created_at
-            index = int(floor(value / bin_width))
-            bins[index] = bin_get(index, 0) + 1
-            lat_count += 1
-            lat_sum += value
-            lat_sum_sq += value * value
-        latency._count = lat_count
-        latency._sum = lat_sum
-        latency._sum_sq = lat_sum_sq
-        self.rx_bytes += payload
-        self.dropped_packets += dropped
-        return accepted, dropped
+            protocol = packet.protocol
+            latencies.append(now - created)
+            counts.append(1)
+            payloads.append(_payload(size, protocol))
+        self.account(latencies, counts, payloads, total - accepted)
+        return accepted, total - accepted
 
-    def deliver_fluid(self, segments, total: int, now: float,
+    def deliver_fluid(self, fires, counts: List[int], times: List[float],
                       size_bytes: int, protocol: Protocol) -> int:
-        """Deliver a collapsed batch; returns the accepted count.
+        """Deliver a collapsed window's interrupts; returns the accepted
+        count.
 
-        ``segments`` is the fluid datapath's per-tick list of
-        ``(count, accepted, tick_time)`` records for one interrupt
-        window; ``total`` is the sum of the accepted column.  Every
-        packet in the window shares ``size_bytes`` and ``protocol``
-        (the eligibility gates guarantee a single uniform stream), so
-        the per-packet loop of :meth:`deliver` reduces to per-segment
-        arithmetic — except the latency sums, which replay the exact
-        repeated float additions so means and variances stay
-        bit-identical.
+        ``fires`` holds the fluid datapath's virtual interrupts in
+        order, as parallel lists: when each fired, how many packets it
+        drained, and where its span of runs ends (run ``k``: ``counts[k]``
+        packets sent at ``times[k]``).  Every packet shares ``size_bytes``
+        and ``protocol``.  Each interrupt is capped, and its runs merge,
+        as :meth:`deliver` caps and merges one batch.
         """
-        if self._started_at is None:
-            self._started_at = now
-        self._last_rx_at = now
-        accepted = min(total, self.batch_capacity)
-        dropped = total - accepted
-        self.rx_packets += accepted
-        overhead = (IP_HEADER_BYTES + UDP_HEADER_BYTES
-                    if protocol is Protocol.UDP
-                    else IP_HEADER_BYTES + TCP_HEADER_BYTES)
-        per_packet = size_bytes - overhead
+        capacity = self.batch_capacity
+        latencies: List[float] = []
+        taken: List[int] = []
+        dropped = 0
+        start = 0
+        for now, drained, stop in zip(*fires):
+            remaining = drained if drained <= capacity else capacity
+            dropped += drained - remaining
+            sent = None
+            for k in range(start, stop):
+                if remaining <= 0:
+                    break
+                n = counts[k]
+                if n > remaining:
+                    n = remaining
+                remaining -= n
+                if times[k] == sent:
+                    taken[-1] += n
+                    continue
+                sent = times[k]
+                latencies.append(now - sent)
+                taken.append(n)
+            start = stop
+        payloads = [_payload(size_bytes, protocol)] * len(taken)
+        return self.account(latencies, taken, payloads, dropped)
+
+    def account(self, latencies: List[float], counts: List[int],
+                payloads: List[int], dropped: int) -> int:
+        """Book delivered packets and socket-buffer drops; returns the
+        accepted count.
+
+        Packets come as runs, in delivery order: ``counts[i]`` packets
+        of end-to-end latency ``latencies[i]`` carrying ``payloads[i]``
+        transport bytes each.  The latency sums take one addition per
+        packet in delivery order, so they are bit-identical however the
+        packets were grouped into runs.
+        """
         latency = self.latency
         bins = latency._bins
         bin_get = bins.get
@@ -132,24 +141,33 @@ class NetserverApp:
         lat_sum = latency._sum
         lat_sum_sq = latency._sum_sq
         floor = math.floor
-        remaining = accepted
-        for _count, seg_accepted, tick_time in segments:
-            if remaining <= 0:
-                break
-            n = seg_accepted if seg_accepted <= remaining else remaining
-            remaining -= n
-            value = now - tick_time
+        accepted = 0
+        payload = 0
+        for value, n, per_packet in zip(latencies, counts, payloads):
             index = int(floor(value / bin_width))
             bins[index] = bin_get(index, 0) + n
             square = value * value
-            for _ in range(n):
+            # One addition per packet, left to right: unrolled by eight
+            # (a netperf burst) with the remainder one at a time.
+            left = n
+            while left >= 8:
+                lat_sum = (lat_sum + value + value + value + value
+                           + value + value + value + value)
+                lat_sum_sq = (lat_sum_sq + square + square + square + square
+                              + square + square + square + square)
+                left -= 8
+            while left:
                 lat_sum += value
                 lat_sum_sq += square
+                left -= 1
+            accepted += n
+            if per_packet > 0:
+                payload += per_packet * n
         latency._count += accepted
         latency._sum = lat_sum
         latency._sum_sq = lat_sum_sq
-        if per_packet > 0:
-            self.rx_bytes += per_packet * accepted
+        self.rx_packets += accepted
+        self.rx_bytes += payload
         self.dropped_packets += dropped
         return accepted
 
@@ -169,4 +187,3 @@ class NetserverApp:
         self.rx_bytes = 0
         self.dropped_packets = 0
         self.latency = Histogram(LATENCY_BIN, f"{self.name}.latency")
-        self._started_at = None

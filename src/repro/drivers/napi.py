@@ -30,11 +30,16 @@ class NapiContext:
     def poll(self, ring: DescriptorRing) -> List[Descriptor]:
         """One poll invocation: reap at most ``budget`` descriptors."""
         reaped = ring.reap(limit=self.budget)
-        self.polls += 1
-        self.packets += len(reaped)
-        if len(reaped) == self.budget:
-            self.exhausted_polls += 1
+        count = len(reaped)
+        self.account(1, count, count // self.budget)
         return reaped
+
+    def account(self, polls: int, packets: int, exhausted: int) -> None:
+        """Book ``polls`` polls that reaped ``packets`` in all,
+        ``exhausted`` of them using their whole budget."""
+        self.polls += polls
+        self.packets += packets
+        self.exhausted_polls += exhausted
 
     def poll_all(self, ring: DescriptorRing) -> List[Descriptor]:
         """Poll until the ring is clean (the softirq re-queue loop)."""

@@ -20,7 +20,7 @@ the §4.2 mailbox protocol to the PF driver.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 from repro.devices.igb82576 import (
     RX_BUFFER_BYTES,
@@ -167,8 +167,6 @@ class VfDriver:
         # arithmetically (see repro.sim.fluid).  A real fire only lands
         # here in exact mode or after a decollapse, and then the exact
         # path reaps whatever packets were materialized into the ring.
-        self.interrupts_handled += 1
-        self._m_interrupts.value += 1
         trace = self.platform.trace
         trace.begin("irq", "vf_isr", domain=self.domain.id,
                     driver=self.name)
@@ -178,7 +176,6 @@ class VfDriver:
         if masks_msi:
             # 2.6.18 masks the vector at the top of the handler (§5.1).
             self.platform.device_model(self.domain).emulate_msix_mask_write(True)
-        self.domain.charge_guest(self.costs.guest_cycles_per_interrupt)
         ring = self.vf.rx_ring
         descriptors = self.napi.poll_all(ring)
         packets = [d.packet for d in descriptors if d.packet is not None]
@@ -186,28 +183,45 @@ class VfDriver:
         # and the slot-to-buffer mapping is fixed, so only ownership
         # moves.
         ring.rearm_until_full()
+        batch = len(packets)
+        accepted = 0
         if packets:
-            count = len(packets)
-            self.rx_meter.add(count)
-            self._m_rx_pkts.value += count
-            self._m_batch.add(count)
             accepted, _dropped = self.app.deliver(packets, self.sim.now)
-            cycles = self.costs.guest_cycles_per_packet
-            if self.domain.is_pvm:
-                cycles += self.costs.pvm_syscall_surcharge_per_packet
-            self.domain.charge_guest(cycles * accepted)
             if self.pool is not None:
                 # The refill above re-posted the reaped slots
                 # (clearing their packet references), so consumed
                 # packets can go back to the allocator.
                 self.pool.release(packets)
-        batch = len(packets)
+        self.account_isr((batch,), accepted)
         if hvm_under_xen:
             self.platform.vlapic(self.domain).eoi_write()
         if masks_msi:
             self.platform.device_model(self.domain).emulate_msix_mask_write(False)
         trace.end("irq", "vf_isr", domain=self.domain.id,
                   packets=batch)
+
+    def account_isr(self, batches: Sequence[int], accepted: int) -> None:
+        """The handler's books for ``len(batches)`` interrupts that
+        drained ``batches[i]`` packets each, ``accepted`` of which the
+        app took: counters, meters and the guest's cycles."""
+        interrupts = len(batches)
+        packets = sum(batches)
+        self.interrupts_handled += interrupts
+        self._m_interrupts.value += interrupts
+        costs = self.costs
+        domain = self.domain
+        domain.charge_guest(costs.guest_cycles_per_interrupt * interrupts)
+        if packets:
+            self.rx_meter.add(packets)
+            self._m_rx_pkts.value += packets
+            m_batch = self._m_batch
+            for count in batches:
+                if count:
+                    m_batch.add(count)
+            cycles = costs.guest_cycles_per_packet
+            if domain.is_pvm:
+                cycles += costs.pvm_syscall_surcharge_per_packet
+            domain.charge_guest(cycles * accepted)
 
     def _mailbox_isr(self, vector: int) -> None:
         """Doorbell from the PF arrived; message already consumed by

@@ -14,7 +14,7 @@ Calibration: an 82576 sits on a PCIe Gen1 x4 link (10 Gb/s raw); after
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.sim.engine import Simulator
 from repro.sim.stats import Counter
@@ -54,34 +54,45 @@ class PcieDataPath:
         Transfers serialize: one begins when the pipe frees up.  The
         optional callback fires at completion.
         """
-        start = max(self.sim.now, self._busy_until)
-        finish = start + self.transfer_time(size_bytes)
-        self._busy_until = finish
-        self.transferred_bytes.add(size_bytes)
-        self.transfers.add()
+        if size_bytes < 0:
+            raise ValueError("size must be non-negative")
+        now = self.sim.now
+        start = max(now, self._busy_until)
+        self.book((now,), (size_bytes,))
+        finish = self._busy_until
         self.trace.emit("dma", self.name, bytes=size_bytes,
                         start=start, finish=finish)
         if on_done is not None:
             self.sim.schedule_at(finish, on_done)
         return finish
 
-    def transfer_at(self, time: float, size_bytes: int) -> float:
-        """Book a DMA transfer as of simulated ``time`` (which may lie
-        in the past of ``sim.now``).
-
-        The fluid datapath applies collapsed ticks lazily, after the
-        instant the exact simulation would have booked the transfer;
-        taking the booking time as an argument keeps ``_busy_until``
-        and the counters bit-identical to the exact schedule.
-        """
-        start = max(time, self._busy_until)
-        finish = start + self.transfer_time(size_bytes)
-        self._busy_until = finish
-        self.transferred_bytes.add(size_bytes)
-        self.transfers.add()
-        self.trace.emit("dma", self.name, bytes=size_bytes,
-                        start=start, finish=finish)
-        return finish
+    def book(self, times: Sequence[float], sizes: Sequence[int],
+             limit: Optional[float] = None,
+             finishes: Optional[List[float]] = None) -> int:
+        """Book a transfer of ``sizes[i]`` bytes issued at ``times[i]``,
+        in order, each starting when issued or when the pipe frees up;
+        returns how many were booked.  With ``limit``, booking stops at
+        the first transfer issued while the pipe is more than ``limit``
+        seconds behind (the TX FIFO bound); ``finishes`` collects each
+        finish time.  Issue times may lie in the past of ``sim.now``:
+        the fluid datapath books a collapsed window this way."""
+        busy = self._busy_until
+        rate = self.effective_bps
+        booked = 0
+        total = 0
+        for at, size in zip(times, sizes):
+            if limit is not None and busy - at > limit:
+                break
+            busy = (busy if busy > at else at) + size * 8 / rate
+            if finishes is not None:
+                finishes.append(busy)
+            booked += 1
+            total += size
+        if booked:
+            self._busy_until = busy
+            self.transferred_bytes.value += total
+            self.transfers.value += booked
+        return booked
 
     @property
     def backlog_seconds(self) -> float:

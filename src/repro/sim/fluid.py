@@ -10,51 +10,48 @@ dispatch and object traffic rather than interesting state changes.
 
 :class:`FluidFlow` collapses the *entire* steady-state loop.  While
 attached, the flow schedules **no events at all**: the stream's ticks,
-the throttle's fires and the guest's interrupt handlers all become
-entries in a virtual event queue that is replayed — as flat arithmetic
-against the real model objects, in the exact engine's event order — at
+the throttle's fires and the guest's interrupt handlers become a
+virtual event queue replayed, in the exact engine's event order, at
 *settle points*: measurement boundaries, ITR sample ticks, run end, and
 any transition that leaves the fast path.  Each replayed virtual event
 bumps ``Simulator.collapsed_events`` so that ``events_executed +
 collapsed_events`` equals the exact run's event count.
 
-The replay covers the full §4.1 interrupt chain:
-
-* **ticks** replay ``NetperfStream._tick`` + ``device_receive``'s burst
-  arithmetic (the DMA pipe is booked via :meth:`~repro.hw.pcie.\
-datapath.PcieDataPath.transfer_at` at the original timestamps) against
-  a frozen, fully-posted descriptor ring;
-* **fires** replay ``InterruptThrottle._do_fire`` -> MSI-X post ->
-  interrupt remap -> the hypervisor's external-interrupt exit charges
-  -> vLAPIC injection (HVM) or event-channel upcall (PVM) -> the VF
-  ISR's NAPI/app/EOI sequence, writing the same counters, cycle
-  charges and float accumulators the exact chain writes, through the
-  same live objects (:meth:`VirtualLapic.inject` / ``eoi_write`` are
-  called for real, so IRR/ISR state and the fractional APIC-access
-  carry stay exact).
+Per virtual event the replay keeps only order-sensitive state: the
+tick clock and carry, the ring image, the throttle clock, the vLAPIC's
+fractional access carry and the send times each interrupt drains.  The
+rest of the §4.1 chain is booked once per settle with the window's
+totals, through the entry points the exact path calls once per event:
+``PcieDataPath.book``, ``_NetFunction.account_rx``,
+``Xen.account_interrupts``, ``VirtualLapic.account``,
+``NapiContext.account``, ``VfDriver.account_isr`` and
+``NetserverApp.deliver_fluid`` (which feeds ``NetserverApp.account``).
 
 **Exactness contract.**  For an eligible flow the collapse is not an
 approximation: every counter, cycle charge, latency accumulator and
 float operation lands bit-identically to the exact run, so the
 :class:`~repro.core.experiment.RunResult` is byte-identical.  The
-replay-order argument needs three properties, all enforced as
-eligibility gates (:meth:`FluidFlow.try_attach`):
+argument needs three properties, all enforced as eligibility gates
+(:meth:`FluidFlow.try_attach`):
 
-* *per-flow state is disjoint* — one stream per port, per-VM rings,
-  meters, apps, vLAPICs and ledger cells, so replaying one flow's
-  events contiguously instead of interleaved with other flows touches
-  no shared accumulator...
+* *per-flow state is disjoint* — one stream per port (or a merged port
+  group), per-VM rings, meters, apps, vLAPICs and ledger cells, so
+  replaying one flow's events contiguously touches no shared
+  accumulator...
 * *...except integer ones* — cycle charges can meet on a shared
-  account (two guests pinned to one core both charge ``xen``), so
-  every replayed cycle cost must be integer-valued: integer-valued
-  float sums are order-independent.  Exit-tracer records only ever
-  accumulate their own constant, which is order-independent by count.
-* *no observers between settle points* — the null tracer and null
-  metrics registry are required, and every event source that could
-  read or perturb flow state mid-run either holds a settle hook
-  (ITR sample ticks, measurement boundaries, driver stop, device
-  reset, ``set_rate``, a second stream attaching) or forces the run
-  wholesale-exact before setup (fault campaigns, telemetry).
+  account (two guests pinned to one core both charge ``xen``), and a
+  window's charges land as ``count × cost``, so every replayed cost
+  must be integer-valued: integer-valued float sums are exact in any
+  grouping.
+* *no observer sees stale state between settle points* — live
+  ``irq``/``apic``/``dma`` tracing keeps a flow exact (per-event trace
+  records carry timestamps), while a live metrics registry is booked at
+  settle points like any other counter.  Every event source that could
+  read or perturb flow state mid-run holds a settle hook (ITR sample
+  ticks, measurement boundaries, driver stop, device reset,
+  ``set_rate``, a second stream attaching), and an armed fault plan
+  keeps every stream exact.  So does a vLAPIC that is not idle: the
+  replay assumes each interrupt's fire -> ack -> EOI cycle closes.
 
 Within a flow, replay order follows the exact engine's tie-break: a
 scheduled fire at time *t* was enqueued at least two burst intervals
@@ -73,12 +70,10 @@ resumes exact per-event simulation mid-run with no observable seam.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, List, Optional, Tuple
+from bisect import bisect_left
+from typing import List, Optional, Tuple
 
-from repro.obs.registry import NULL_REGISTRY
-from repro.sim.trace import NULL_TRACER
-from repro.vmm.vmexit import VmExitKind
+from repro.devices.igb82576 import TX_BACKLOG_LIMIT, VECTOR_RXTX
 
 #: Collapsing only pays when an ITR window spans several ticks — and the
 #: replay-order proof needs a scheduled fire to predate (in sequence
@@ -86,30 +81,25 @@ from repro.vmm.vmexit import VmExitKind
 #: is at least two burst intervals long.
 MIN_TICKS_PER_WINDOW = 3.0
 
-#: Ledger categories, precomputed (mirror the hypervisor's and the
-#: virtual LAPIC's own).
-_CAT_EXTINT = "exit." + VmExitKind.EXTERNAL_INTERRUPT.value
-_CAT_HYPERCALL = "exit." + VmExitKind.HYPERCALL.value
-_CAT_APIC_OTHER = "exit." + VmExitKind.APIC_ACCESS_OTHER.value
-_CAT_APIC_EOI = "exit." + VmExitKind.APIC_ACCESS_EOI.value
-
 
 class FluidFlow:
     """One collapsed client->VF stream on an otherwise idle port."""
 
     #: Minimum throttle-window length, in burst intervals, for the
     #: single-flow replay-order proof (subclasses with a total virtual
-    #: event order — creation-stamped — may relax this to 0).
+    #: event order — sequence-stamped — relax this to 0).
     _min_window = MIN_TICKS_PER_WINDOW
 
     def __init__(self, bed, guest, stream):
         self.bed = bed
         self.sim = bed.sim
-        self.guest = guest
         self.stream = stream
         self.driver = guest.driver
         self.vf = guest.vf
         self.port = guest.port
+        #: The transmitting driver, when the flow's own stream sends
+        #: through this host (see :class:`FluidTxFlow`).
+        self.tx_driver = None
         self.active = False
         #: Next unapplied tick's absolute time (advances by exactly the
         #: float additions the exact reschedule chain performs).
@@ -126,6 +116,11 @@ class FluidFlow:
         #: reconstruct the engine's sequence-number tie-break.
         self._tick_created = 0.0
         self._fire_created = 0.0
+        #: Flow-local stand-ins for engine handle seq numbers, drawn at
+        #: every virtual *schedule* (the total order of FluidTxFlow).
+        self._cseq = 1
+        self._tick_cseq = 0
+        self._fire_cseq = 0
         #: The per-port :class:`FluidPortGroup` when other collapsed
         #: streams share this port (None for a solo flow).
         self.group: Optional["FluidPortGroup"] = None
@@ -137,19 +132,31 @@ class FluidFlow:
         #: advanced head (consume), _clean (reap) and tail (rearm) in
         #: the exact run, so decollapse rotates the cursors by this.
         self._drained_total = 0
-        #: Accepted-but-undrained ticks: (count, accepted, tick_time).
-        self._pending: List[Tuple[int, int, float]] = []
+        #: Runs of packets accepted since the last flush: how many, and
+        #: their send time.  Runs from ``_undrained`` on are in the ring.
+        self._pending_n: List[int] = []
+        self._pending_t: List[float] = []
+        self._undrained = 0
+        #: The received packets' header as ``acquire_burst`` takes it:
+        #: (src, dst, size, vlan, protocol, flow_id).
+        self._rx_header: Optional[tuple] = (
+            stream.src, stream.dst, stream.mtu, stream.vlan,
+            stream.protocol, stream.flow_id)
+        # -- the window's books, handed to the layers at _flush() --
+        self._sent = 0
+        self._wire_rx = 0
+        self._offered = 0
+        self._accepted = 0
+        #: DMA transfers not yet booked (times, sizes); a port group's
+        #: members share one pair, booking in merged order.
+        self._dma: Tuple[List[float], List[int]] = ([], [])
+        #: Interrupts replayed since the last flush: when each fired,
+        #: how many packets it drained, and where its pending runs end.
+        self._fired: Tuple[List[float], List[int], List[int]] = ([], [], [])
+        self._apic_other = 0
         self._generation = -1
-        #: Platform variant: "hvm" / "pvm" / "native"; set at attach.
-        self._variant = ""
+        #: The guest's virtual LAPIC (HVM under Xen); set at attach.
         self._vlapic = None
-        self._remapper = None
-        self._eoi_cost = 0.0
-        #: What the replayed ISR hands the app: size/protocol of the
-        #: drained packets.  The local stream's for single-host flows;
-        #: the cluster flow resets these per inbound shape.
-        self._deliver_mtu = stream.mtu
-        self._deliver_protocol = stream.protocol
         #: The ``try_attach`` gate that refused collapse (diagnostics;
         #: None after a successful attach).
         self.reject_gate: Optional[str] = None
@@ -178,6 +185,13 @@ class FluidFlow:
         port = self.port
         platform = driver.platform
         domain = driver.domain
+        # Fault plans perturb state at injector-chosen instants, outside
+        # the contract: every stream of a faulted run stays exact.
+        if getattr(self.bed, "injector", None) is not None:
+            return self._reject("faults")
+        tx_gate = self._tx_gate()
+        if tx_gate is not None:
+            return self._reject(tx_gate)
         if stream.jitter != 0:
             return self._reject("jitter")
         if stream.pool is None:
@@ -192,12 +206,8 @@ class FluidFlow:
             return self._reject("not_running")
         if port.rx_corrupt_budget != 0:
             return self._reject("rx_corruption")
-        # Observers that would see stale state between settle points:
-        # any tracer listening on the replayed categories keeps the run
-        # exact (per-event trace records carry timestamps, which a
-        # batched flush cannot reproduce).  Metrics registries are fine
-        # — the replayed instruments are plain accumulators, flushed
-        # batched at settle points.
+        # Per-event trace records carry timestamps, which a batched
+        # flush cannot reproduce.
         trace = platform.trace
         if trace.is_enabled("irq") or trace.is_enabled("apic"):
             return self._reject("tracer")
@@ -217,15 +227,11 @@ class FluidFlow:
         vector = driver.rx_vector
         if vector is None or platform.vectors.handler(vector) is None:
             return self._reject("vector_unbound")
-        from repro.devices.igb82576 import VECTOR_RXTX
         entry = vf.msix.table[VECTOR_RXTX]
-        if entry.masked or entry.message is None:
+        if (entry.masked or entry.message is None
+                or entry.message.vector != vector):
             return self._reject("msix_entry")
-        if entry.message.vector != vector:
-            return self._reject("msix_entry")
-        if platform.is_native:
-            self._variant = "native"
-        else:
+        if not platform.is_native:
             if platform.vectors.owner(vector) != domain.id:
                 return self._reject("vector_owner")
             if domain.id not in platform.domains:
@@ -233,26 +239,14 @@ class FluidFlow:
             # The remap the exact chain performs must succeed (a
             # missing IRTE would *block* the interrupt — not eligible).
             rid = vf.pci.rid
-            remapper = platform.intr_remapper
-            if rid is None or not remapper.entries_for(rid):
+            if (rid is None or platform.intr_remapper._entries.get(
+                    (rid, vector)) is None):
                 return self._reject("irte_missing")
-            if remapper._entries.get((rid, vector)) is None:
-                return self._reject("irte_missing")
-            self._remapper = remapper
             if domain.is_hvm:
-                self._variant = "hvm"
                 self._vlapic = platform.vlapic(domain)
-                opts = platform.opts
-                if opts.eoi_acceleration:
-                    cost = driver.costs.eoi_accelerated_cycles
-                    if opts.eoi_instruction_check:
-                        cost += driver.costs.eoi_instruction_check_cycles
-                else:
-                    cost = driver.costs.eoi_emulate_cycles
-                self._eoi_cost = cost
-            elif domain.is_pvm:
-                self._variant = "pvm"
-            else:
+                if self._lapic_busy():
+                    return self._reject("lapic_busy")
+            elif not domain.is_pvm:
                 return self._reject("domain_kind")
         if not self._integral_costs():
             return self._reject("nonintegral_costs")
@@ -265,12 +259,19 @@ class FluidFlow:
         self.reject_gate = None
         stream._fluid = self
         driver._fluid = self
+        if hasattr(self.tx_driver, "_fluid"):
+            self.tx_driver._fluid = self
         # Adaptive policies rewrite VTEITR at sample ticks (which are
         # settle points); the register hook tells us so a window that
         # shrank below the replay-order proof leaves the fast path at
         # the instant of the write.
         vf.fluid_listener = self.interval_reprogrammed
         return True
+
+    def _tx_gate(self) -> Optional[str]:
+        """The transmit-side gates of flows whose own stream sends
+        (:class:`FluidTxFlow`); the RX-only flow has none."""
+        return None
 
     def _route_gate(self) -> Optional[str]:
         """Where must the stream's packets land for the replay to be
@@ -284,30 +285,38 @@ class FluidFlow:
 
     def _integral_costs(self) -> bool:
         """Every replayed cycle charge must be an integer-valued float:
-        integer sums are order-exact, so grouping one flow's charges
-        contiguously cannot move a shared account (e.g. two guests
-        pinned to one core charging ``xen``) off the exact run's value.
+        a window's charges land as ``count × cost`` sums, and integer
+        sums are exact in any grouping, so batching cannot move a shared
+        account (e.g. two guests pinned to one core charging ``xen``)
+        off the exact run's value.
         """
         costs = self.driver.costs
         checked = [
             costs.guest_cycles_per_interrupt,
             costs.guest_cycles_per_packet,
         ]
-        if self._variant != "native":
+        if not self.driver.platform.is_native:
             checked.append(costs.external_interrupt_exit_cycles)
-        if self._variant == "hvm":
+        if self._vlapic is not None:
             checked.append(costs.other_apic_access_cycles)
-            opts = self.driver.platform.opts
-            if opts.eoi_acceleration:
-                checked.append(costs.eoi_accelerated_cycles)
-                if opts.eoi_instruction_check:
-                    checked.append(costs.eoi_instruction_check_cycles)
-            else:
-                checked.append(costs.eoi_emulate_cycles)
-        elif self._variant == "pvm":
+            checked.append(self._vlapic.eoi_cycles)
+        elif self.driver.domain.is_pvm:
             checked.append(costs.event_channel_notify_cycles)
             checked.append(costs.pvm_syscall_surcharge_per_packet)
         return all(float(c).is_integer() for c in checked)
+
+    def _lapic_busy(self) -> bool:
+        """Is the guest's LAPIC anything but idle for the flow's vector?
+
+        The replay leaves IRR/ISR untouched, which is exact only when
+        every interrupt's fire -> ack -> EOI cycle closes: nothing
+        pending or in service, and the TPR below the vector's class.
+        """
+        if self._vlapic is None:
+            return False
+        lapic = self.driver.domain.lapic
+        return bool(lapic._irr or lapic._isr
+                    or (lapic.tpr >> 4) >= (self.driver.rx_vector >> 4))
 
     def _ring_clean_and_mapped(self) -> bool:
         """The ring must be fully posted and clean (the post-probe
@@ -342,7 +351,8 @@ class FluidFlow:
         return (self.port.switch.generation == self._generation
                 and self.vf.enabled
                 and self.driver.running
-                and self.port.rx_corrupt_budget == 0)
+                and self.port.rx_corrupt_budget == 0
+                and not self._lapic_busy())
 
     # ------------------------------------------------------------------
     # lifecycle (driven by NetperfStream.start/stop)
@@ -372,341 +382,117 @@ class FluidFlow:
         self._carry = self.stream._carry
         self._backlog = 0
         self._drained_total = 0
-        self._pending.clear()
+        self._pending_n = []
+        self._pending_t = []
+        self._undrained = 0
         self._fire_at = None
         self._capacity = (ring.tail - ring.head) % ring.size
         self._t_next = self.sim.now + self.stream.burst_interval
         self._tick_created = self.sim.now
+        self._cseq = 1
+        self._tick_cseq = 0
+        self._fire_cseq = 0
         if group is not None:
             group.joined(self)
         return True
 
+    def detach(self) -> None:
+        """Unhook every attach-time installation (a port or host whose
+        streams all run exact from now on)."""
+        for owner in (self.stream, self.driver, self.tx_driver):
+            if getattr(owner, "_fluid", None) is self:
+                owner._fluid = None
+        if self.vf.fluid_listener == self.interval_reprogrammed:
+            self.vf.fluid_listener = None
+        if getattr(self.port, "_fluid_tx", None) is self:
+            self.port._fluid_tx = None
+
     # ------------------------------------------------------------------
-    # tick arithmetic (replays NetperfStream._tick's float operations)
+    # the virtual events
     # ------------------------------------------------------------------
-    def _next_tick(self) -> Tuple[int, float]:
+    def _next_ticks(self, end: float,
+                    inclusive: bool) -> Tuple[List[int], List[float]]:
+        """``NetperfStream._tick``'s float operations for every tick
+        before ``end`` (or at it, when ``inclusive``): the packet counts
+        and tick times, with the carry and the reschedule."""
         stream = self.stream
-        quota = stream.pps * stream.burst_interval
-        quota += self._carry
-        count = int(quota)
-        self._carry = quota - count
-        tick_time = self._t_next
-        self._t_next = tick_time + stream.burst_interval
-        # The reschedule: the next tick's handle is created *now*.
-        self._tick_created = tick_time
-        return count, tick_time
-
-    def _apply_tick(self, count: int, tick_time: float) -> int:
-        """One tick's books: stream, wire, DMA pipe, VF statistics."""
-        if count <= 0:
-            return 0
-        stream = self.stream
-        stream.sent.value += count
-        stream.sent_bytes.value += count * stream.mtu
-        self.port.fluid_wire_receive(count, count * stream.mtu, tick_time)
-        accepted = count
-        room = self._capacity - self._backlog
-        if accepted > room:
-            accepted = room
-        self.vf.fluid_receive(count, accepted, accepted * stream.mtu)
-        if accepted > 0:
-            self._backlog += accepted
-            self._pending.append((count, accepted, tick_time))
-        return accepted
-
-    # ------------------------------------------------------------------
-    # the virtual event loop
-    # ------------------------------------------------------------------
-    def _advance(self, limit: float, inclusive: bool) -> None:
-        """Replay the flow's virtual events up to ``limit``.
-
-        Merges the tick clock and the pending-fire clock in the exact
-        engine's order: at equal timestamps the scheduled fire runs
-        first (its handle predates the tick's by at least one burst
-        interval — see MIN_TICKS_PER_WINDOW).  Each replayed virtual
-        event counts once in ``collapsed_events``; a fire that the
-        exact run executes *inline* within a tick replays inside that
-        tick and adds nothing extra.
-
-        Dispatches to the batched loop when its extra preconditions
-        hold (the overwhelmingly common case), else to the generic
-        statement-for-statement replay.  When other collapsed streams
-        share the port, the whole group advances together in merged
-        order (shared DMA-pipe bookings must interleave exactly).
-        """
-        group = self.group
-        if group is not None and group.needs_merge():
-            group.advance(limit, inclusive)
-            return
-        if self._variant == "hvm":
-            # The batched loop assumes each interrupt's LAPIC cycle is
-            # closed (fire -> ack -> EOI returns the IRR/ISR to empty).
-            # A stray in-service or pending vector (e.g. a mailbox
-            # doorbell caught mid-flight at decollapse) breaks that, so
-            # replay it generically.
-            lapic = self.driver.domain.lapic
-            vector = self.driver.rx_vector
-            if (lapic._irr != 0 or lapic._isr != 0
-                    or (lapic.tpr >> 4) >= (vector >> 4)):
-                self._advance_generic(limit, inclusive)
-                return
-        self._advance_bulk(limit, inclusive)
-
-    def _advance_generic(self, limit: float, inclusive: bool) -> None:
-        """The unbatched replay: one method call per virtual event."""
-        sim = self.sim
-        while True:
-            t_fire = self._fire_at
-            t_tick = self._t_next
-            if t_fire is not None and t_fire <= t_tick:
-                if t_fire < limit or (inclusive and t_fire == limit):
-                    self._fire_at = None
-                    self._replay_fire(t_fire)
-                    sim.collapsed_events += 1
-                    continue
-                return
-            if t_tick < limit or (inclusive and t_tick == limit):
-                count, tick_time = self._next_tick()
-                if self._apply_tick(count, tick_time) > 0:
-                    self._replay_request(tick_time)
-                sim.collapsed_events += 1
-                continue
-            return
-
-    def _advance_bulk(self, limit: float, inclusive: bool) -> None:
-        """The batched replay loop.
-
-        Identical arithmetic to the generic path, restructured for
-        speed: all hot state lives in locals, and every *integer*
-        accumulator (packet counts, event counts, cycle charges — the
-        eligibility gates force integral costs) is summed locally and
-        flushed once at the end.  Integer-valued float sums are
-        associative, so the flush lands bit-identically to the exact
-        run's per-event additions.  Float state that is genuinely
-        order-sensitive — the DMA pipe's busy horizon, the stream
-        carry, the vLAPIC's fractional access carry, the app's latency
-        accumulators — is still evolved per virtual event, inline.
-        """
-        stream = self.stream
-        driver = self.driver
-        domain = driver.domain
-        costs = driver.costs
-        vf = self.vf
-        throttle = vf.throttle
-        napi = driver.napi
-        app = driver.app
-        datapath = self.port.datapath
-        variant = self._variant
-        mtu = stream.mtu
-        protocol = stream.protocol
-        budget = napi.budget
-
-        # --- hoisted per-event state -----------------------------------
-        bi = stream.burst_interval
-        pps_bi = stream.pps * bi
+        interval = stream.burst_interval
+        quota = stream.pps * interval
         carry = self._carry
-        t_next = self._t_next
-        fire_at = self._fire_at
-        has_fire = fire_at is not None
-        tick_created = self._tick_created
-        fire_created = self._fire_created
-        interval = throttle.interval
-        last_fired = throttle._last_fired
-        capacity = self._capacity
-        backlog = self._backlog
-        pending = self._pending
-        busy = datapath._busy_until
-        eff = datapath.effective_bps
-        intr_cycles = costs.guest_cycles_per_interrupt
-        pkt_cycles = costs.guest_cycles_per_packet
-        if domain.is_pvm:
-            pkt_cycles += costs.pvm_syscall_surcharge_per_packet
-        if variant == "hvm":
-            vlapic = self._vlapic
-            vl_carry = vlapic._carry
-            oap = costs.other_apic_accesses_per_interrupt
-        metrics_live = driver.platform.metrics is not NULL_REGISTRY
-        batch_sizes: List[int] = []
+        t = self._t_next
+        counts: List[int] = []
+        times: List[float] = []
+        while t < end or (inclusive and t == end):
+            total = quota + carry
+            count = int(total)
+            carry = total - count
+            counts.append(count)
+            times.append(t)
+            t = t + interval
+        if times:
+            self._carry = carry
+            self._t_next = t
+            # The reschedule: the next tick's handle is created *now*.
+            self._tick_created = times[-1]
+        return counts, times
 
-        # --- batched integer accumulators ------------------------------
-        collapsed = 0
-        n_ticks = 0          # ticks that carried packets (DMA bookings)
-        total_count = 0      # packets offered
-        total_acc = 0        # packets accepted into the ring
-        n_fires = 0
-        drained = 0          # packets drained by fires
-        polls = 0
-        exhausted = 0
-        app_accepted = 0     # packets the app took (cycle charges)
-        n_apic_other = 0     # HVM: non-EOI APIC accesses
+    def _tick(self) -> None:
+        """One client tick: ``NetperfStream._tick`` -> ``wire_receive``
+        -> ``device_receive`` -> ``InterruptThrottle.request``."""
+        counts, times = self._next_ticks(self._t_next, True)
+        self._receive(counts, times)
+        self._offer(counts, times)
 
-        while True:
-            run_fire = False
-            scheduled = False
-            if has_fire and fire_at <= t_next:
-                if fire_at < limit or (inclusive and fire_at == limit):
-                    t = fire_at
-                    has_fire = False
-                    run_fire = True
-                    scheduled = True
-                else:
-                    break
-            elif t_next < limit or (inclusive and t_next == limit):
-                # --- one tick (NetperfStream._tick + device_receive) ---
-                quota = pps_bi + carry
-                count = int(quota)
-                carry = quota - count
-                t = t_next
-                t_next = t + bi
-                tick_created = t
-                collapsed += 1
-                if count > 0:
-                    tb = count * mtu
-                    # PcieDataPath.transfer_at, inlined.
-                    start = busy if busy > t else t
-                    busy = start + tb * 8 / eff
-                    n_ticks += 1
-                    total_count += count
-                    accepted = count
-                    room = capacity - backlog
-                    if accepted > room:
-                        accepted = room
-                    total_acc += accepted
-                    if accepted > 0:
-                        backlog += accepted
-                        pending.append((count, accepted, t))
-                        # InterruptThrottle.request, inlined.
-                        if not has_fire:
-                            due = last_fired + interval
-                            if t >= due:
-                                run_fire = True  # inline fire (no event)
-                            else:
-                                fire_at = due
-                                has_fire = True
-                                fire_created = t
-            else:
-                break
-            if run_fire:
-                # --- one interrupt (fire -> deliver -> ISR -> EOI) -----
-                if scheduled:
-                    # A scheduled fire was its own event in the exact
-                    # run; an inline fire ran inside its tick's event.
-                    collapsed += 1
-                last_fired = t
-                n_fires += 1
-                count = backlog
-                segments = pending
-                pending = []
-                backlog = 0
-                drained += count
-                if metrics_live:
-                    batch_sizes.append(count)
-                full = count // budget
-                polls += full + 1
-                exhausted += full
-                if variant == "hvm":
-                    # VirtualLapic.inject's fractional access carry.
-                    vl_carry += oap
-                    accesses = int(vl_carry)
-                    vl_carry -= accesses
-                    n_apic_other += accesses
-                if count:
-                    app_accepted += app.deliver_fluid(segments, count, t,
-                                                      mtu, protocol)
+    def _receive(self, counts: List[int], times: List[float]) -> None:
+        """``wire_receive``'s counter and host-ward DMA booking for a
+        run of client ticks (nothing of it depends on the interrupt
+        side).  Every tick carries packets: the ``sparse_ticks`` gate."""
+        sent = sum(counts)
+        self._sent += sent
+        self._wire_rx += sent
+        mtu = self.stream.mtu
+        dma_at, dma_bytes = self._dma
+        dma_at.extend(times)
+        dma_bytes.extend([count * mtu for count in counts])
 
-        # --- flush ------------------------------------------------------
-        self._carry = carry
-        self._t_next = t_next
-        self._fire_at = fire_at if has_fire else None
-        self._backlog = backlog
-        self._pending = pending
-        self._tick_created = tick_created
-        self._fire_created = fire_created
-        self.sim.collapsed_events += collapsed
-        if n_ticks:
-            stream.sent.value += total_count
-            stream.sent_bytes.value += total_count * mtu
-            self.port.wire_rx_packets += total_count
-            datapath._busy_until = busy
-            datapath.transferred_bytes.value += total_count * mtu
-            datapath.transfers.value += n_ticks
-            vf.rx_offered += total_count
-            vf.rx_packets += total_acc
-            vf.rx_bytes += total_acc * mtu
-            if total_count != total_acc:
-                vf.rx_no_desc_drops += total_count - total_acc
-            vf.rx_ring.completed += total_acc
-            iommu = self.port.iommu
-            if iommu is not None:
-                iommu.translations += total_acc
-        if n_fires:
-            throttle._last_fired = last_fired
-            throttle.fired += n_fires
-            vf.msix.interrupts_posted += n_fires
-            vf.rx_ring.posted += drained
-            self._drained_total += drained
-            napi.polls += polls
-            napi.packets += drained
-            napi.exhausted_polls += exhausted
-            driver.interrupts_handled += n_fires
-            driver.rx_meter._count += drained
-            if metrics_live:
-                # Registry instruments are plain accumulators (no
-                # timestamps), so the batched flush lands identically
-                # to the per-interrupt increments of the exact ISR.
-                driver._m_interrupts.value += n_fires
-                driver._m_rx_pkts.value += drained
-                m_batch = driver._m_batch
-                for size in batch_sizes:
-                    m_batch.add(size)
-            guest_cycles = (n_fires * intr_cycles
-                            + pkt_cycles * app_accepted)
-            core = domain.machine.core(domain.home_core())
-            core.charge(domain.account_label, guest_cycles)
-            domain.cycles_consumed += guest_cycles
-            if variant != "native":
-                platform = driver.platform
-                tracer = platform.tracer
-                ledger = platform.ledger
-                name = domain.name
-                hyper_cycles = 0.0
-                cost = costs.external_interrupt_exit_cycles
-                rec = tracer._records[VmExitKind.EXTERNAL_INTERRUPT]
-                rec.count += n_fires
-                rec.cycles += n_fires * cost
-                ledger.charge(name, _CAT_EXTINT, n_fires * cost,
-                              count=n_fires)
-                hyper_cycles += n_fires * cost
-                self._remapper.remapped += n_fires
-                if variant == "hvm":
-                    vlapic._carry = vl_carry
-                    if n_apic_other:
-                        cost = costs.other_apic_access_cycles
-                        rec = tracer._records[VmExitKind.APIC_ACCESS_OTHER]
-                        rec.count += n_apic_other
-                        rec.cycles += n_apic_other * cost
-                        ledger.charge(name, _CAT_APIC_OTHER,
-                                      n_apic_other * cost,
-                                      count=n_apic_other)
-                        hyper_cycles += n_apic_other * cost
-                    cost = self._eoi_cost
-                    rec = tracer._records[VmExitKind.APIC_ACCESS_EOI]
-                    rec.count += n_fires
-                    rec.cycles += n_fires * cost
-                    ledger.charge(name, _CAT_APIC_EOI, n_fires * cost,
-                                  count=n_fires)
-                    hyper_cycles += n_fires * cost
-                else:
-                    cost = costs.event_channel_notify_cycles
-                    rec = tracer._records[VmExitKind.HYPERCALL]
-                    rec.count += n_fires
-                    rec.cycles += n_fires * cost
-                    ledger.charge(name, _CAT_HYPERCALL, n_fires * cost,
-                                  count=n_fires)
-                    hyper_cycles += n_fires * cost
-                core.charge("xen", hyper_cycles)
+    def _offer(self, counts: List[int], times: List[float]) -> None:
+        """A run of client ticks reaching the VF's ring, then the first
+        tick's throttle request (room only shrinks along the run, so if
+        any tick landed packets, the first did).  The run must end
+        before the fire that request arms, or be a single tick."""
+        if self._accept(counts, times) and self._fire_at is None:
+            self._request(times[0])
 
-    def _replay_request(self, now: float) -> None:
+    def _accept(self, counts, times) -> int:
+        """``device_receive``'s accept/drop decision for a run of offers
+        — ``counts[i]`` packets sent at ``times[i]`` — against the
+        frozen ring image; returns how many packets found a descriptor.
+        The run must not span a throttle request: an inline fire drains
+        the ring between two offers."""
+        room = self._capacity - self._backlog
+        pending_n = self._pending_n
+        pending_t = self._pending_t
+        offered = sum(counts)
+        if offered <= room and 0 not in counts:
+            pending_n.extend(counts)
+            pending_t.extend(times)
+            taken = offered
+        else:
+            taken = 0
+            for count, created_at in zip(counts, times):
+                accepted = room if room < count else count
+                if accepted <= 0:
+                    continue
+                room -= accepted
+                taken += accepted
+                pending_n.append(accepted)
+                pending_t.append(created_at)
+        self._offered += offered
+        self._accepted += taken
+        self._backlog += taken
+        return taken
+
+    def _request(self, now: float) -> None:
         """``InterruptThrottle.request`` against the virtual pending
         slot: fire inline when past due, else arm the virtual timer."""
         if self._fire_at is not None:
@@ -714,77 +500,152 @@ class FluidFlow:
         throttle = self.vf.throttle
         due = throttle._last_fired + throttle.interval
         if now >= due:
-            self._replay_fire(now)
+            self._fire(now)
         else:
             self._fire_at = due
             self._fire_created = now
+            self._fire_cseq = self._cseq
+            self._cseq += 1
 
-    def _replay_fire(self, now: float) -> None:
-        """One interrupt, start to finish, as flat arithmetic.
-
-        Statement-for-statement this is ``InterruptThrottle._do_fire``
-        -> ``MsixCapability._post`` -> ``Xen.deliver_msi`` (or the
-        native straight-through) -> ``VfDriver._isr``, with ``now``
-        standing in for ``sim.now`` and the null-tracer/null-registry
-        calls elided (the eligibility gates guarantee they are null).
-        """
-        driver = self.driver
-        domain = driver.domain
-        costs = driver.costs
-        throttle = self.vf.throttle
-        # The throttle's own state stays live so a decollapse (or the
-        # ITR floor logic) sees exactly what the exact run would.
-        throttle._last_fired = now
-        throttle.fired += 1
-        self.vf.msix.interrupts_posted += 1
-        variant = self._variant
-        if variant != "native":
-            platform = driver.platform
-            self._remapper.remapped += 1
-            cost = costs.external_interrupt_exit_cycles
-            platform.tracer.record(VmExitKind.EXTERNAL_INTERRUPT, cost)
-            platform.ledger.charge(domain.name, _CAT_EXTINT, cost)
-            domain.charge_hypervisor(cost)
-            if variant == "hvm":
-                # The real device model: IRR/ISR bits, the fractional
-                # APIC-access carry and its charges all evolve in place.
-                self._vlapic.inject(driver.rx_vector)
-            else:
-                notify = costs.event_channel_notify_cycles
-                platform.tracer.record(VmExitKind.HYPERCALL, notify)
-                platform.ledger.charge(domain.name, _CAT_HYPERCALL, notify)
-                domain.charge_hypervisor(notify)
-        # --- VfDriver._isr ---
-        driver.interrupts_handled += 1
-        driver._m_interrupts.value += 1
-        domain.charge_guest(costs.guest_cycles_per_interrupt)
-        segments = self._pending
-        count = self._backlog
-        self._pending = []
+    def _fire(self, now: float) -> None:
+        """One interrupt, reduced to its order-sensitive state: the
+        throttle clock, the vLAPIC's fractional access carry, and the
+        drained runs whose latency the app will sum.  Its counters
+        and charges are booked at the next :meth:`_flush`."""
+        self.vf.throttle._last_fired = now
+        times, drained, ends = self._fired
+        times.append(now)
+        drained.append(self._backlog)
+        self._undrained = len(self._pending_n)
+        ends.append(self._undrained)
         self._backlog = 0
+        if self._vlapic is not None:
+            self._apic_other += self._vlapic.other_accesses()
+
+    def _flush(self) -> None:
+        """Hand the replayed window's totals to each layer's accounting
+        entry point — the same calls the exact path makes per event."""
+        sent = self._sent
+        if sent:
+            self._sent = 0
+            stream = self.stream
+            stream.sent.value += sent
+            stream.sent_bytes.value += sent * stream.mtu
+        if self._wire_rx:
+            self.port.wire_rx_packets += self._wire_rx
+            self._wire_rx = 0
+        dma_at, dma_bytes = self._dma
+        if dma_at:
+            self.port.datapath.book(dma_at, dma_bytes)
+            dma_at.clear()
+            dma_bytes.clear()
+        offered = self._offered
+        if offered:
+            accepted = self._accepted
+            self._offered = self._accepted = 0
+            self.vf.account_rx(offered, accepted,
+                               accepted * self._rx_header[2],
+                               offered - accepted)
+        fired = self._fired
+        batches = fired[1]
+        if not batches:
+            return
+        driver = self.driver
+        vf = self.vf
+        count = len(batches)
+        drained = sum(batches)
+        budget = driver.napi.budget
+        exhausted = sum(batch // budget for batch in batches)
+        vf.throttle.fired += count
+        vf.msix.interrupts_posted += count
         # The rearm mirror: reaped descriptors return to the device.
-        self.vf.rx_ring.posted += count
-        self._drained_total += count
-        # poll_all arithmetic: full budget-sized polls plus the final
+        vf.rx_ring.posted += drained
+        self._drained_total += drained
+        platform = driver.platform
+        if not platform.is_native:
+            platform.intr_remapper.remapped += count
+            platform.account_interrupts(driver.domain, count)
+            if self._vlapic is not None:
+                self._vlapic.account(self._apic_other, count)
+                self._apic_other = 0
+        # poll_all per interrupt: full budget-sized polls plus the final
         # short one (which ends the softirq loop).
-        napi = driver.napi
-        full = count // napi.budget
-        napi.polls += full + 1
-        napi.packets += count
-        napi.exhausted_polls += full
-        if count:
-            driver.rx_meter.add(count)
-            driver._m_rx_pkts.value += count
-            driver._m_batch.add(count)
-            accepted = driver.app.deliver_fluid(
-                segments, count, now, self._deliver_mtu,
-                self._deliver_protocol)
-            cycles = costs.guest_cycles_per_packet
-            if domain.is_pvm:
-                cycles += costs.pvm_syscall_surcharge_per_packet
-            domain.charge_guest(cycles * accepted)
-        if variant == "hvm":
-            self._vlapic.eoi_write()
+        driver.napi.account(count + exhausted, drained, exhausted)
+        accepted = 0
+        pending_n = self._pending_n
+        pending_t = self._pending_t
+        if drained:
+            header = self._rx_header
+            accepted = driver.app.deliver_fluid(fired, pending_n, pending_t,
+                                                header[2], header[4])
+        del pending_n[:self._undrained]
+        del pending_t[:self._undrained]
+        self._undrained = 0
+        driver.account_isr(batches, accepted)
+        for column in fired:
+            column.clear()
+
+    # ------------------------------------------------------------------
+    # the virtual event loop
+    # ------------------------------------------------------------------
+    def _advance(self, limit: float, inclusive: bool) -> None:
+        """Replay the flow's virtual events up to ``limit``, then flush.
+
+        Merges the tick clock and the pending-fire clock in the exact
+        engine's order: at equal timestamps the scheduled fire runs
+        first (its handle predates the tick's by at least one burst
+        interval — see MIN_TICKS_PER_WINDOW).  Each replayed virtual
+        event counts once in ``collapsed_events``; a fire that the
+        exact run executes *inline* within a tick replays inside that
+        tick and adds nothing extra.  When other collapsed streams
+        share the port, the whole group advances together in merged
+        order (shared DMA-pipe bookings must interleave exactly).
+        """
+        group = self.group
+        if group is not None and group.needs_merge():
+            group.advance(limit, inclusive)
+            return
+        # Ticks do not depend on interrupts, so the tick clock runs to
+        # the horizon first; the fires then split its ticks into
+        # interrupt windows, each offered to the ring as one run.
+        counts, times = self._next_ticks(limit, inclusive)
+        self._receive(counts, times)
+        throttle = self.vf.throttle
+        end = len(times)
+        collapsed = end
+        i = 0
+        while True:
+            fire_at = self._fire_at
+            if fire_at is None:
+                if i == end:
+                    break
+                due = throttle._last_fired + throttle.interval
+                if times[i] >= due:
+                    # Past due: this tick's request fires inline.
+                    self._offer(counts[i:i + 1], times[i:i + 1])
+                    i += 1
+                    continue
+                # The first tick landing packets arms a fire at due.
+                j = bisect_left(times, due, i)
+                self._offer(counts[i:j], times[i:j])
+                i = j
+                fire_at = self._fire_at
+                if fire_at is None:
+                    continue
+            else:
+                # Ticks before the armed fire only offer packets.
+                j = bisect_left(times, fire_at, i)
+                if j > i:
+                    self._accept(counts[i:j], times[i:j])
+                    i = j
+            if not (fire_at < limit or (inclusive and fire_at == limit)):
+                break
+            # The fire runs before any tick at its instant.
+            self._fire_at = None
+            self._fire(fire_at)
+            collapsed += 1
+        self.sim.collapsed_events += collapsed
+        self._flush()
 
     # ------------------------------------------------------------------
     # settle points
@@ -793,14 +654,9 @@ class FluidFlow:
         """Catch up through the present, *inclusively*: the engine's
         ``run(until)`` horizon is inclusive, so at a run boundary every
         virtual event with time <= now has executed in the exact run.
-        Undrained segments stay pending — their packets sit unreaped in
+        Undrained runs stay pending — their packets sit unreaped in
         the exact run's ring too."""
-        if not self.active:
-            return
-        if not self._still_valid():
-            self.decollapse()
-            return
-        self._advance(self.sim.now, inclusive=True)
+        self._catch_up(True)
 
     def settle_strict(self) -> None:
         """Catch up to — but not through — the present.  For hooks at
@@ -808,12 +664,15 @@ class FluidFlow:
         virtual event (the ITR sample tick, scheduled a full period
         ago): the exact run executes that event *before* equal-time
         ticks or fires."""
+        self._catch_up(False)
+
+    def _catch_up(self, inclusive: bool) -> None:
         if not self.active:
             return
         if not self._still_valid():
             self.decollapse()
             return
-        self._advance(self.sim.now, inclusive=False)
+        self._advance(self.sim.now, inclusive)
 
     def interval_reprogrammed(self, interval: float) -> None:
         """A VTEITR write is about to land (the register hook calls
@@ -864,6 +723,7 @@ class FluidFlow:
         to the present must already have run)."""
         sim = self.sim
         self._materialize()
+        self._restore_inflight()
         stream = self.stream
         stream._carry = self._carry
         if stream._running:
@@ -874,35 +734,39 @@ class FluidFlow:
                                                 throttle._do_fire)
         self._fire_at = None
 
+    def _restore_inflight(self) -> None:
+        """Re-schedule in-flight deliveries the replay still owed (the
+        loopback flow's DMA completions); nothing for a wire stream."""
+
     def _materialize(self) -> None:
-        """Turn pending segments into real ring occupancy."""
-        stream = self.stream
+        """Turn pending runs into real ring occupancy."""
         ring = self.vf.rx_ring
-        pool = stream.pool
+        mask = ring._mask
         # Every drained packet advanced head (consume), _clean (reap)
         # and tail (rearm) once in the exact run.  Slot programming is
         # position-fixed and reaped slots are clean, so rotating the
         # cursors is the whole difference.
-        spin = self._drained_total & ring._mask
-        ring.head = (ring.head + spin) & ring._mask
-        ring.tail = (ring.tail + spin) & ring._mask
-        ring._clean = (ring._clean + spin) & ring._mask
+        spin = self._drained_total & mask
+        ring.head = (ring.head + spin) & mask
+        ring.tail = (ring.tail + spin) & mask
+        ring._clean = (ring._clean + spin) & mask
         self._drained_total = 0
         total = 0
-        for _count, accepted, tick_time in self._pending:
-            if accepted <= 0:
-                continue
-            burst = pool.acquire_burst(accepted, stream.src, stream.dst,
-                                       stream.mtu, stream.vlan,
-                                       stream.protocol, stream.flow_id,
-                                       tick_time)
-            for packet in burst:
-                ring.consume(packet)
-            total += accepted
-        # fluid_receive counted these completions at tick time and
+        if self._pending_n:
+            # (The replay flushed before this: every run is undrained.)
+            src, dst, size, vlan, protocol, flow_id = self._rx_header
+            acquire = self.stream.pool.acquire_burst
+            for accepted, created_at in zip(self._pending_n,
+                                            self._pending_t):
+                for packet in acquire(accepted, src, dst, size, vlan,
+                                      protocol, flow_id, created_at):
+                    ring.consume(packet)
+                total += accepted
+        # account_rx counted these completions at settle time and
         # consume() just recounted them.
         ring.completed -= total
-        self._pending.clear()
+        self._pending_n = []
+        self._pending_t = []
         self._backlog = 0
 
 
@@ -942,10 +806,13 @@ class FluidPortGroup:
         #: Once evicted, the port's streams run exact; later streams
         #: must not collapse beside them.
         self.dead = False
+        #: The members' deferred DMA bookings, in merged order.
+        self._dma: Tuple[List[float], List[int]] = ([], [])
 
     def add(self, flow: FluidFlow) -> None:
         self.members.append(flow)
         flow.group = self
+        flow._dma = self._dma
         if flow.active:
             # Already begun before the group existed (the port's second
             # stream arrived mid-run): it must be visible to admits()
@@ -958,13 +825,7 @@ class FluidPortGroup:
 
     def needs_merge(self) -> bool:
         """More than one active member: replay must interleave."""
-        seen = 0
-        for flow in self._order:
-            if flow.active:
-                seen += 1
-                if seen > 1:
-                    return True
-        return False
+        return sum(flow.active for flow in self._order) > 1
 
     def admits(self, flow: FluidFlow) -> bool:
         """May ``flow`` begin collapsing alongside the active members?
@@ -1003,7 +864,7 @@ class FluidPortGroup:
                          inclusive: bool) -> None:
         if not actives:
             return
-        sim = actives[0].sim
+        collapsed = 0
         while True:
             best = None
             best_key = None
@@ -1020,15 +881,16 @@ class FluidPortGroup:
                     best = flow
             t = best_key[0]
             if not (t < limit or (inclusive and t == limit)):
-                return
+                break
             if best_key[3] == 0:
                 best._fire_at = None
-                best._replay_fire(t)
+                best._fire(t)
             else:
-                count, tick_time = best._next_tick()
-                if best._apply_tick(count, tick_time) > 0:
-                    best._replay_request(tick_time)
-            sim.collapsed_events += 1
+                best._tick()
+            collapsed += 1
+        actives[0].sim.collapsed_events += collapsed
+        for flow in actives:
+            flow._flush()
 
     # ------------------------------------------------------------------
     # leaving the fast path
@@ -1061,83 +923,59 @@ class FluidPortGroup:
         bed = self.bed
         for flow in self.members:
             flow.group = None
-            if flow.stream._fluid is flow:
-                flow.stream._fluid = None
-            if getattr(flow.driver, "_fluid", None) is flow:
-                flow.driver._fluid = None
-            if flow.vf.fluid_listener == flow.interval_reprogrammed:
-                flow.vf.fluid_listener = None
+            flow.detach()
             if bed is not None:
                 bed.record_fluid_rejection("port_evicted")
         self.members.clear()
         self._order.clear()
 
 
-class FluidLoopbackFlow(FluidFlow):
-    """A collapsed intra-port stream: guest->VF (fig. 13) or dom0->VF
-    through the PF (fig. 10).
+class FluidTxFlow(FluidFlow):
+    """A collapsed flow whose stream transmits through this host's own
+    TX path: the inter-VM loopback (:class:`FluidLoopbackFlow`) and the
+    cluster host (:class:`~repro.sim.fluid_host.FluidHostFlow`).
 
-    The exact chain has three interleaved event kinds on one flow: the
-    sender's burst ticks (``NetperfStream._tick`` -> ``transmit`` ->
-    ``hw_transmit`` -> ``route_transmit``, booking two PCIe crossings
-    per packet), the per-packet internal-loopback DMA completions
-    (``_deliver_internal`` -> ``device_receive`` on the receiving VF),
-    and the receiver's throttle fires.  All three become virtual
-    events ordered by ``(time, flow-local virtual seq)``: the virtual
-    seq counter is bumped at every virtual *schedule* in the same
-    order the exact engine hands out handle sequence numbers (the
-    flow's events touch no other event sources — the port carries this
-    one stream), so the merge is a total order and the
-    ``MIN_TICKS_PER_WINDOW`` fire-before-tick argument is unnecessary:
-    ``_min_window`` relaxes to 0, which also lets the receiver's
+    Three virtual event kinds interleave on such a flow: the sender's
+    burst ticks, inbound deliveries (loopback DMA completions or fabric
+    arrivals) and the receiver's throttle fires.  They replay ordered
+    by ``(time, flow-local virtual seq)``, the seq drawn at every
+    virtual *schedule* in the order the exact engine hands out handle
+    seqs (the port carries this one stream), so the merge is a total
+    order: ``_min_window`` relaxes to 0, which also lets the receiver's
     adaptive-ITR policy reprogram freely between samples.
     """
 
     _min_window = 0.0
+    #: PCIe crossings booked per transmitted packet.
+    _crossings = 1
+    #: Whether an inbound record crosses the port's wire and books its
+    #: own host-ward DMA (fabric arrivals) or was booked at transmit
+    #: time (loopback completions).
+    _inbound_via_wire = False
 
-    def __init__(self, bed, receiver, stream, sender_domain, tx_function,
+    def __init__(self, bed, guest, stream, sender_domain, tx_function,
                  tx_driver):
-        super().__init__(bed, receiver, stream)
+        super().__init__(bed, guest, stream)
         self.sender_domain = sender_domain
         self.tx = tx_function
         self.tx_driver = tx_driver
-        #: In-flight loopback DMA completions: (finish, virtual seq,
-        #: tick time), appended in creation order — which is finish
-        #: order, since the pipe serializes.
-        self._completions: Deque[Tuple[float, int, float]] = deque()
-        #: The flow-local stand-in for engine handle seq numbers.
-        self._cseq = 1
-        self._tick_cseq = 0
-        self._fire_cseq = 0
+        #: Inbound deliveries in (time, seq) order, as columns: due
+        #: time, virtual seq, send time, frames.  Outside the replay
+        #: every queued record is still pending.
+        self._inbound: Tuple[List[float], List[int], List[float],
+                             List[int]] = ([], [], [], [])
+        self._next_inbound = 0
 
-    # ------------------------------------------------------------------
-    # eligibility
-    # ------------------------------------------------------------------
-    def try_attach(self) -> bool:
+    def _tx_gate(self) -> Optional[str]:
+        # The replayed transmit assumes every packet clears anti-spoof
+        # and the rate limiter and reaches route_transmit.
         tx = self.tx
-        stream = self.stream
-        # The transmit-side gates (all side-effect free): the replay
-        # assumes every packet passes anti-spoof and the rate limiter
-        # and reaches route_transmit.
-        if not self.tx_driver.running:
-            return self._reject("tx_not_running")
-        if not tx.enabled:
-            return self._reject("tx_disabled")
         assigned = self.port.switch._function_macs.get(tx.function_index)
-        if assigned is not None and assigned != stream.src:
-            return self._reject("tx_spoof")
+        if assigned is not None and assigned != self.stream.src:
+            return "tx_spoof"
         if tx.tx_rate_limit_bps > 0:
-            return self._reject("tx_rate_limit")
-        if tx is self.vf:
-            return self._reject("tx_is_rx")
-        if not float(
-                self.tx_driver.costs.guest_cycles_per_packet).is_integer():
-            return self._reject("nonintegral_costs")
-        if not super().try_attach():
-            return False
-        if hasattr(self.tx_driver, "_fluid"):
-            self.tx_driver._fluid = self
-        return True
+            return "tx_rate_limit"
+        return None
 
     def _still_valid(self) -> bool:
         tx = self.tx
@@ -1146,17 +984,13 @@ class FluidLoopbackFlow(FluidFlow):
                 and self.tx_driver.running
                 and tx.tx_rate_limit_bps <= 0)
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
     def begin(self) -> bool:
         if self.active:
             return True
         if not super().begin():
             return False
-        self._completions.clear()
-        self._cseq = 1
-        self._tick_cseq = 0
+        for column in self._inbound:
+            column.clear()
         return True
 
     # ------------------------------------------------------------------
@@ -1164,133 +998,186 @@ class FluidLoopbackFlow(FluidFlow):
     # ------------------------------------------------------------------
     def _advance(self, limit: float, inclusive: bool) -> None:
         sim = self.sim
-        completions = self._completions
+        due, seqs = self._inbound[:2]
         while True:
             t = self._t_next
             c = self._tick_cseq
             kind = 0
-            if completions:
-                head = completions[0]
-                if (head[0], head[1]) < (t, c):
-                    t = head[0]
-                    c = head[1]
-                    kind = 1
+            k = self._next_inbound
+            if k < len(due) and (due[k], seqs[k]) < (t, c):
+                t = due[k]
+                c = seqs[k]
+                kind = 1
             fire_at = self._fire_at
             if fire_at is not None and (fire_at, self._fire_cseq) < (t, c):
                 t = fire_at
                 kind = 2
             if not (t < limit or (inclusive and t == limit)):
-                return
+                break
             if kind == 0:
-                self._replay_tick()
+                self._tick()
+                sim.collapsed_events += 1
             elif kind == 1:
-                fin, _c, tick_time = completions.popleft()
-                self._replay_completion(fin, tick_time)
+                sim.collapsed_events += self._replay_inbound(limit,
+                                                             inclusive)
             else:
                 self._fire_at = None
-                self._replay_fire(t)
-            sim.collapsed_events += 1
+                self._fire(t)
+                sim.collapsed_events += 1
+        if self._next_inbound:
+            for column in self._inbound:
+                del column[:self._next_inbound]
+            self._next_inbound = 0
+        self._flush()
 
-    def _replay_tick(self) -> None:
-        """One sender tick: ``NetperfStream._tick`` -> ``transmit`` ->
-        ``hw_transmit`` -> ``route_transmit`` per packet, with the two
-        PCIe crossings booked against the live pipe and each delivery
-        queued as a virtual completion."""
-        from repro.devices.igb82576 import TX_BACKLOG_LIMIT
-        count, tick_time = self._next_tick()
+    def _tx_burst(self, count: int, tick_time: float,
+                  finishes: Optional[List[float]] = None) -> Optional[int]:
+        """One tick's ``transmit`` -> ``hw_transmit`` -> ``route_transmit``
+        up to the DMA bookings: the driver charges the whole burst, then
+        each packet books its crossings unless the pipe is more than
+        ``TX_BACKLOG_LIMIT`` behind.  Returns how many packets were
+        booked, or None when the driver or function is down and nothing
+        reached the device."""
+        if count <= 0:
+            return None
+        self._sent += count
+        tx_driver = self.tx_driver
+        if not tx_driver.running:
+            return None
+        # The driver's transmit charges the whole burst — packets
+        # dropped further down included.
+        self.sender_domain.charge_guest(
+            tx_driver.costs.guest_cycles_per_packet * count)
+        if not self.tx.enabled:
+            return None
+        size = self._crossings * self.stream.mtu
+        return self.port.datapath.book([tick_time] * count, [size] * count,
+                                       TX_BACKLOG_LIMIT, finishes)
+
+    def _queue_inbound(self, times, sends, counts) -> None:
+        """Queue deliveries — ``counts[i]`` frames sent at ``sends[i]``,
+        due at ``times[i]`` — drawing their virtual seqs in order."""
+        due, seqs, sent, frames = self._inbound
         cseq = self._cseq
-        if count > 0:
-            stream = self.stream
-            mtu = stream.mtu
-            stream.sent.value += count
-            stream.sent_bytes.value += count * mtu
-            tx_driver = self.tx_driver
-            if tx_driver.running:
-                # The driver's transmit charges the whole burst —
-                # packets dropped further down included.
-                self.sender_domain.charge_guest(
-                    tx_driver.costs.guest_cycles_per_packet * count)
-                tx = self.tx
-                if tx.enabled:
-                    port = self.port
-                    datapath = port.datapath
-                    busy = datapath._busy_until
-                    ser = (2 * mtu) * 8 / datapath.effective_bps
-                    completions = self._completions
-                    delivered = 0
-                    dropped = 0
-                    for _ in range(count):
-                        # route_transmit: the FIFO-backlog check comes
-                        # before classification and its counter.
-                        if busy - tick_time > TX_BACKLOG_LIMIT:
-                            dropped += 1
-                            continue
-                        port.internal_loopback_packets += 1
-                        start = busy if busy > tick_time else tick_time
-                        fin = start + ser
-                        busy = fin
-                        completions.append((fin, cseq, tick_time))
-                        cseq += 1
-                        delivered += 1
-                    datapath._busy_until = busy
-                    if delivered:
-                        datapath.transferred_bytes.value += delivered * 2 * mtu
-                        datapath.transfers.value += delivered
-                        tx.tx_packets += delivered
-                        tx.tx_bytes += delivered * mtu
-                    if dropped:
-                        tx.tx_backlog_drops += dropped
+        due.extend(times)
+        seqs.extend(range(cseq, cseq + len(times)))
+        sent.extend(sends)
+        frames.extend(counts)
+        self._cseq = cseq + len(times)
+
+    def _replay_inbound(self, limit: float, inclusive: bool) -> int:
+        """The run of inbound deliveries due before the next tick, the
+        pending fire and ``limit``: ``device_receive``'s accept against
+        the ring image (after ``wire_receive``'s counter and host-ward
+        DMA booking for a fabric arrival), then the throttle request.
+        Returns the number of records replayed."""
+        due, seqs, sends, counts = self._inbound
+        first = start = i = self._next_inbound
+        end = len(due)
+        tick_t = self._t_next
+        tick_c = self._tick_cseq
+        throttle = self.vf.throttle
+        # The run is accepted in one go — once a fire is armed, requests
+        # are no-ops — except around a request that fires inline.  The
+        # send times are what the app's end-to-end latency spans.
+        while i < end:
+            t = due[i]
+            if not ((t < tick_t or (t == tick_t and seqs[i] < tick_c))
+                    and (t < limit or (inclusive and t == limit))):
+                break
+            fire_at = self._fire_at
+            if fire_at is not None:
+                if not (t < fire_at
+                        or (t == fire_at and seqs[i] < self._fire_cseq)):
+                    break
+            elif t >= throttle._last_fired + throttle.interval:
+                if start < i:
+                    self._accept(counts[start:i], sends[start:i])
+                if self._accept(counts[i:i + 1], sends[i:i + 1]):
+                    self._request(t)
+                start = i + 1
+            elif counts[i] and self._backlog < self._capacity:
+                # It lands, and its request arms the fire.
+                self._request(t)
+            i += 1
+        if start < i:
+            self._accept(counts[start:i], sends[start:i])
+        self._next_inbound = i
+        if self._inbound_via_wire and i > first:
+            # Booked now: the next transmit's drop check reads the pipe.
+            size = self._rx_header[2]
+            frames = counts[first:i]
+            self.port.datapath.book(due[first:i],
+                                    [n * size for n in frames])
+            self._wire_rx += sum(frames)
+        return i - first
+
+
+class FluidLoopbackFlow(FluidTxFlow):
+    """A collapsed intra-port stream: guest->VF (fig. 13) or dom0->VF
+    through the PF (fig. 10).
+
+    The exact chain's events on one flow: the sender's burst ticks
+    (``NetperfStream._tick`` -> ``transmit`` -> ``hw_transmit`` ->
+    ``route_transmit``, booking two PCIe crossings per packet), the
+    per-packet internal-loopback DMA completions (``_deliver_internal``
+    -> ``device_receive`` on the receiving VF), and the receiver's
+    throttle fires — merged as :class:`FluidTxFlow` describes.
+    """
+
+    _crossings = 2
+
+    def _tx_gate(self) -> Optional[str]:
+        if not self.tx_driver.running:
+            return "tx_not_running"
+        if not self.tx.enabled:
+            return "tx_disabled"
+        gate = super()._tx_gate()
+        if gate is not None:
+            return gate
+        if self.tx is self.vf:
+            return "tx_is_rx"
+        if not float(
+                self.tx_driver.costs.guest_cycles_per_packet).is_integer():
+            return "nonintegral_costs"
+        return None
+
+    def _tick(self) -> None:
+        """One sender tick, each booked packet queued as a virtual DMA
+        completion on the receiving VF."""
+        (count,), (tick_time,) = self._next_ticks(self._t_next, True)
+        finishes: List[float] = []
+        passed = self._tx_burst(count, tick_time, finishes)
+        if passed is not None:
+            tx = self.tx
+            if passed:
+                self.port.internal_loopback_packets += passed
+                self._queue_inbound(finishes, [tick_time] * passed,
+                                    [1] * passed)
+                tx.tx_packets += passed
+                tx.tx_bytes += passed * self.stream.mtu
+            if passed < count:
+                tx.tx_backlog_drops += count - passed
         # The reschedule runs after the sink, so the next tick handle's
         # virtual seq postdates this tick's completions.
-        self._tick_cseq = cseq
-        self._cseq = cseq + 1
+        self._tick_cseq = self._cseq
+        self._cseq += 1
 
-    def _replay_completion(self, fin: float, tick_time: float) -> None:
-        """One loopback delivery: ``device_receive([packet])`` against
-        the frozen ring image, then the throttle request."""
-        vf = self.vf
-        if self._backlog >= self._capacity:
-            # Ring full: offered and dropped, no interrupt requested.
-            vf.fluid_receive(1, 0, 0)
+    def _restore_inflight(self) -> None:
+        due, _seqs, sends, _counts = self._inbound
+        if not due:
             return
-        vf.fluid_receive(1, 1, self.stream.mtu)
-        self._backlog += 1
-        pending = self._pending
-        if pending and pending[-1][2] == tick_time:
-            count, accepted, t = pending[-1]
-            pending[-1] = (count + 1, accepted + 1, t)
-        else:
-            pending.append((1, 1, tick_time))
-        if self._fire_at is None:
-            throttle = vf.throttle
-            due = throttle._last_fired + throttle.interval
-            if fin >= due:
-                self._replay_fire(fin)
-            else:
-                self._fire_at = due
-                self._fire_cseq = self._cseq
-                self._cseq += 1
-
-    # ------------------------------------------------------------------
-    # leaving the fast path
-    # ------------------------------------------------------------------
-    def _materialize(self) -> None:
-        super()._materialize()
-        completions = self._completions
-        if not completions:
-            return
-        stream = self.stream
-        pool = stream.pool
+        src, dst, size, vlan, protocol, flow_id = self._rx_header
+        acquire = self.stream.pool.acquire_burst
         port = self.port
-        sim = self.sim
         vf = self.vf
+        schedule_at = self.sim.schedule_at
         # In-flight crossings become real scheduled deliveries, in
         # creation (= finish) order so their new handle seqs preserve
         # the exact run's relative order.
-        for fin, _cseq, tick_time in completions:
-            burst = pool.acquire_burst(1, stream.src, stream.dst,
-                                       stream.mtu, stream.vlan,
-                                       stream.protocol, stream.flow_id,
-                                       tick_time)
-            sim.schedule_at(fin, port._deliver_internal(vf, burst[0]))
-        completions.clear()
+        for fin, tick_time in zip(due, sends):
+            packet = acquire(1, src, dst, size, vlan, protocol, flow_id,
+                             tick_time)[0]
+            schedule_at(fin, port._deliver_internal(vf, packet))
+        for column in self._inbound:
+            column.clear()

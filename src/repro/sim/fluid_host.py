@@ -28,11 +28,11 @@ replay is split in two sides:
   drop check, cycle charges and the VF's counters — stays in the merged
   replay with fabric arrivals and interrupt fires, ordered by ``(time,
   virtual seq)``: each virtual *schedule* draws a flow-local sequence
-  number in the order the exact engine hands out handle seqs, the same
-  construction as :class:`~repro.sim.fluid.FluidLoopbackFlow`.  A drop
-  check on a tick the wire side already replayed must pass; if it does
-  not, :class:`~repro.core.host.HorizonError` stops the run rather than
-  let it diverge from exact.
+  number in the order the exact engine hands out handle seqs, as in
+  every :class:`~repro.sim.fluid.FluidTxFlow`.  A drop check on a tick
+  the wire side already replayed must pass; if it does not,
+  :class:`~repro.core.host.HorizonError` stops the run rather than let
+  it diverge from exact.
 
 The live link and the host's delivery counters are brought up to date
 at every settle point, so the models always show the exact run's state
@@ -64,8 +64,9 @@ from typing import Deque, List, Optional, Tuple
 
 from repro.core.host import HorizonError
 from repro.devices.igb82576 import TX_BACKLOG_LIMIT
+from repro.net.mac import MacAddress
 from repro.net.packet import DEFAULT_MTU, Protocol, wire_bytes
-from repro.sim.fluid import FluidFlow
+from repro.sim.fluid import FluidTxFlow
 
 _PROTOCOLS = {p.value: p for p in Protocol}
 
@@ -76,29 +77,22 @@ _PROTOCOLS = {p.value: p for p in Protocol}
 _BOUND_SLACK = 1e-9
 
 
-class FluidHostFlow(FluidFlow):
+class FluidHostFlow(FluidTxFlow):
     """One collapsed (guest, port) pair on a cluster host: TX ticks,
     uplink wire, fabric arrivals and the RX interrupt chain."""
 
-    #: The total virtual order makes the fire-before-tick window proof
-    #: unnecessary (and lets adaptive ITR reprogram freely).
-    _min_window = 0.0
+    _inbound_via_wire = True
 
     def __init__(self, host, guest, stream):
-        super().__init__(host.bed, guest, stream)
+        super().__init__(host.bed, guest, stream, guest.domain, guest.vf,
+                         guest.driver)
         self.host = host
         self._link = guest.port.uplink
-        #: Fabric deliveries accepted, not yet replayed:
-        #: (arrival, virtual seq, created_at, count).
-        self._arrivals: Deque[Tuple[float, int, float, int]] = deque()
-        #: The flow-local stand-in for engine handle seq numbers.
-        self._cseq = 1
-        self._tick_cseq = 0
-        self._fire_cseq = 0
         #: The inbound frame shape the replay is specialized to:
         #: (src, dst, size, vlan, protocol, flow_id), learned from the
         #: first arrival.  A frame that differs evicts the host.
         self._rx_shape: Optional[tuple] = None
+        self._rx_header = None
         #: Wire-side frame size of the local stream (TX mirror).
         self._wire_frame = wire_bytes(stream.mtu, stream.vlan)
         #: The shape of every egress frame this flow produces.
@@ -129,18 +123,8 @@ class FluidHostFlow(FluidFlow):
     # eligibility
     # ------------------------------------------------------------------
     def try_attach(self) -> bool:
-        vf = self.vf
-        stream = self.stream
-        # Transmit-side gates (all side-effect free): the tick replay
-        # assumes every packet clears anti-spoof and the rate limiter
-        # and reaches the uplink.
         if self._link is None:
             return self._reject("no_uplink")
-        assigned = self.port.switch._function_macs.get(vf.function_index)
-        if assigned is not None and assigned != stream.src:
-            return self._reject("tx_spoof")
-        if vf.tx_rate_limit_bps > 0:
-            return self._reject("tx_rate_limit")
         return super().try_attach()
 
     def _route_gate(self) -> Optional[str]:
@@ -153,8 +137,7 @@ class FluidHostFlow(FluidFlow):
 
     def _still_valid(self) -> bool:
         return (super()._still_valid()
-                and self.port.uplink is self._link
-                and self.vf.tx_rate_limit_bps <= 0)
+                and self.port.uplink is self._link)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -164,11 +147,8 @@ class FluidHostFlow(FluidFlow):
             return True
         if not super().begin():
             return False
-        self._arrivals.clear()
-        self._cseq = 1
-        self._tick_cseq = 0
-        self._fire_cseq = 0
         self._rx_shape = None
+        self._rx_header = None
         self._w_next = self._t_next
         self._w_carry = self._carry
         self._tx_free = self._link._tx_free_at
@@ -181,18 +161,6 @@ class FluidHostFlow(FluidFlow):
         # also Host.advance's per-port handle for diverting inbound.
         self.port._fluid_tx = self
         return True
-
-    def detach(self) -> None:
-        """Unhook every attach-time installation (attach failure on a
-        sibling stream, or a host-wide eviction)."""
-        if self.stream._fluid is self:
-            self.stream._fluid = None
-        if getattr(self.driver, "_fluid", None) is self:
-            self.driver._fluid = None
-        if self.vf.fluid_listener == self.interval_reprogrammed:
-            self.vf.fluid_listener = None
-        if self.port._fluid_tx is self:
-            self.port._fluid_tx = None
 
     # ------------------------------------------------------------------
     # fabric ingress (called from Host.advance, before sim.run)
@@ -216,17 +184,13 @@ class FluidHostFlow(FluidFlow):
                     vf.mac, shape[4]) != vf.function_index:
                 return False
             self._rx_shape = rx_shape
-            self._deliver_mtu = shape[3]
-            self._deliver_protocol = _PROTOCOLS[shape[5]]
+            src, dst, size, vlan, protocol, flow_id = rx_shape
+            self._rx_header = (MacAddress(src), MacAddress(dst), size, vlan,
+                               _PROTOCOLS[protocol], flow_id)
         elif rx_shape != self._rx_shape:
             return False
-        queue = self._arrivals
-        cseq = self._cseq
-        for i, arrival in enumerate(arrivals):
-            queue.append((arrival, cseq, created[i],
-                          1 if counts is None else counts[i]))
-            cseq += 1
-        self._cseq = cseq
+        self._queue_inbound(arrivals, created, [1] * len(arrivals)
+                            if counts is None else counts)
         return True
 
     def next_time(self) -> float:
@@ -365,42 +329,14 @@ class FluidHostFlow(FluidFlow):
     # the merged virtual event loop (DMA side, arrivals, fires)
     # ------------------------------------------------------------------
     def _advance(self, limit: float, inclusive: bool) -> None:
-        sim = self.sim
-        arrivals = self._arrivals
-        while True:
-            t = self._t_next
-            c = self._tick_cseq
-            kind = 0
-            if arrivals:
-                head = arrivals[0]
-                if (head[0], head[1]) < (t, c):
-                    t = head[0]
-                    c = head[1]
-                    kind = 2
-            fire_at = self._fire_at
-            if fire_at is not None and (fire_at, self._fire_cseq) < (t, c):
-                t = fire_at
-                kind = 3
-            if not (t < limit or (inclusive and t == limit)):
-                break
-            if kind == 0:
-                self._replay_tx_tick()
-                sim.collapsed_events += 1
-            elif kind == 2:
-                sim.collapsed_events += self._replay_arrivals(limit,
-                                                              inclusive)
-            else:
-                self._fire_at = None
-                self._replay_fire(t)
-                sim.collapsed_events += 1
+        super()._advance(limit, inclusive)
         self._commit_deliveries(limit, inclusive)
 
-    def _replay_tx_tick(self) -> None:
-        """One sender tick: ``NetperfStream._tick`` -> ``transmit`` ->
-        ``hw_transmit`` -> ``route_transmit`` per packet, with the DMA
-        crossing booked against the live pipe.  The wire side either
-        ran ahead for this tick already (its outcome is committed to the
-        live link here) or runs now, for the packets past the drop."""
+    def _tick(self) -> None:
+        """One sender tick's DMA side, with the drop check still
+        evaluated.  The wire side either ran ahead for this tick already
+        (its outcome is committed to the live link here) or runs now,
+        for the packets past the drop."""
         stream = self.stream
         ticks = self._ticks
         if ticks:
@@ -411,54 +347,30 @@ class FluidHostFlow(FluidFlow):
             self._carry = carry
             self._tick_created = tick_time
         else:
-            count, tick_time = self._next_tick()
+            (count,), (tick_time,) = self._next_ticks(self._t_next, True)
             passed_ahead = None
-        passed = 0
-        if count > 0:
-            mtu = stream.mtu
-            stream.sent.value += count
-            stream.sent_bytes.value += count * mtu
-            driver = self.driver
-            if driver.running:
-                # The driver's transmit charges the whole burst —
-                # packets dropped further down included.
-                driver.domain.charge_guest(
-                    driver.costs.guest_cycles_per_packet * count)
-                vf = self.vf
-                if vf.enabled:
-                    port = self.port
-                    datapath = port.datapath
-                    busy = datapath._busy_until
-                    dma = mtu * 8 / datapath.effective_bps
-                    for _ in range(count):
-                        # route_transmit's FIFO-backlog bound; past it,
-                        # the DMA crossing and the wire counter are
-                        # booked even if the line queue tail-drops.
-                        if busy - tick_time > TX_BACKLOG_LIMIT:
-                            break
-                        start = busy if busy > tick_time else tick_time
-                        busy = start + dma
-                        passed += 1
-                    if passed:
-                        datapath._busy_until = busy
-                        datapath.transferred_bytes.value += passed * mtu
-                        datapath.transfers.value += passed
-                        port.wire_tx_packets += passed
-                    if passed_ahead is None:
-                        sent, queued, link_drops, tx_free = (
-                            self._wire_tick(tick_time, passed) if passed
-                            else (0, 0, 0, self._tx_free))
-                    link = self._link
-                    link._tx_free_at = tx_free
-                    link._queued += queued
-                    if link_drops:
-                        link.dropped.value += link_drops
-                    if sent:
-                        vf.tx_packets += sent
-                        vf.tx_bytes += sent * mtu
-                    drops = count - sent
-                    if drops:
-                        vf.tx_backlog_drops += drops
+        passed = self._tx_burst(count, tick_time)
+        if passed is not None:
+            # Past the drop, the DMA crossing and the wire counter are
+            # booked even if the line queue tail-drops.
+            vf = self.vf
+            self.port.wire_tx_packets += passed
+            if passed_ahead is None:
+                sent, queued, link_drops, tx_free = (
+                    self._wire_tick(tick_time, passed) if passed
+                    else (0, 0, 0, self._tx_free))
+            link = self._link
+            link._tx_free_at = tx_free
+            link._queued += queued
+            if link_drops:
+                link.dropped.value += link_drops
+            if sent:
+                vf.tx_packets += sent
+                vf.tx_bytes += sent * stream.mtu
+            if count - sent:
+                vf.tx_backlog_drops += count - sent
+        else:
+            passed = 0
         if passed_ahead is None:
             self._w_next = self._t_next
             self._w_carry = self._carry
@@ -493,76 +405,6 @@ class FluidHostFlow(FluidFlow):
             self.host.uplink_tx_frames += delivered
             self.sim.collapsed_events += delivered
 
-    def _replay_arrivals(self, limit: float, inclusive: bool) -> int:
-        """The run of fabric deliveries due before the next tick, the
-        pending fire and ``limit``: ``Host._ingress`` -> ``wire_receive``
-        -> ``device_receive`` per routed record as flat arithmetic (one
-        host-ward DMA booking per record, matching the exact batch),
-        then the throttle request.  Counters land once per run; the
-        pipe's busy horizon and each segment's latency stamp advance
-        record by record.  Returns the number of records replayed."""
-        arrivals = self._arrivals
-        tick = (self._t_next, self._tick_cseq)
-        fire = None if self._fire_at is None else (self._fire_at,
-                                                   self._fire_cseq)
-        size = self._deliver_mtu
-        port = self.port
-        datapath = port.datapath
-        rate = datapath.effective_bps
-        one = size * 8 / rate
-        busy = datapath._busy_until
-        capacity = self._capacity
-        backlog = self._backlog
-        pending = self._pending
-        records = frames = accepted_total = 0
-        while arrivals:
-            head = arrivals[0]
-            arrival = head[0]
-            key = (arrival, head[1])
-            if not (key < tick and (fire is None or key < fire)
-                    and (arrival < limit
-                         or (inclusive and arrival == limit))):
-                break
-            arrivals.popleft()
-            count = head[3]
-            start = arrival if arrival >= busy else busy
-            busy = start + (one if count == 1 else count * size * 8 / rate)
-            records += 1
-            frames += count
-            accepted = capacity - backlog
-            if accepted > count:
-                accepted = count
-            if accepted <= 0:
-                continue
-            accepted_total += accepted
-            backlog += accepted
-            # The segment's timestamp is the *remote* send time, which
-            # is what the app's end-to-end latency spans.
-            pending.append((count, accepted, head[2]))
-            if fire is not None:
-                continue
-            # InterruptThrottle.request against the virtual slot.
-            throttle = self.vf.throttle
-            due = throttle._last_fired + throttle.interval
-            if arrival >= due:
-                self._backlog = backlog
-                self._replay_fire(arrival)
-                backlog = self._backlog
-                pending = self._pending
-            else:
-                self._fire_at = due
-                self._fire_created = arrival
-                self._fire_cseq = self._cseq
-                self._cseq += 1
-                fire = (due, self._fire_cseq)
-        self._backlog = backlog
-        datapath._busy_until = busy
-        datapath.transferred_bytes.value += frames * size
-        datapath.transfers.value += records
-        port.wire_rx_packets += frames
-        self.vf.fluid_receive(frames, accepted_total, accepted_total * size)
-        return records
-
     # ------------------------------------------------------------------
     # leaving the fast path
     # ------------------------------------------------------------------
@@ -572,35 +414,6 @@ class FluidHostFlow(FluidFlow):
         if not self.active:
             return
         self.host._evict_fluid()
-
-    def _materialize(self) -> None:
-        from repro.net.mac import MacAddress
-        stream = self.stream
-        ring = self.vf.rx_ring
-        spin = self._drained_total & ring._mask
-        ring.head = (ring.head + spin) & ring._mask
-        ring.tail = (ring.tail + spin) & ring._mask
-        ring._clean = (ring._clean + spin) & ring._mask
-        self._drained_total = 0
-        total = 0
-        shape = self._rx_shape
-        if shape is not None:
-            src, dst, size, vlan, protocol, flow_id = shape
-            src = MacAddress(src)
-            dst = MacAddress(dst)
-            protocol = _PROTOCOLS[protocol]
-            pool = stream.pool
-            for _count, accepted, created_at in self._pending:
-                if accepted <= 0:
-                    continue
-                burst = pool.acquire_burst(accepted, src, dst, size, vlan,
-                                           protocol, flow_id, created_at)
-                for packet in burst:
-                    ring.consume(packet)
-                total += accepted
-        ring.completed -= total
-        self._pending.clear()
-        self._backlog = 0
 
     def _finish_decollapse(self) -> None:
         super()._finish_decollapse()
@@ -630,9 +443,9 @@ class FluidHostFlow(FluidFlow):
         # Undelivered fabric arrivals go back to the engine as the
         # _ingress events the exact advance would have scheduled.
         shape = (None,) + self._rx_shape if self._rx_shape else None
-        for arrival, _cseq, created_at, count in self._arrivals:
+        due, _seqs, sends, counts = self._inbound
+        for arrival, created_at, count in zip(due, sends, counts):
             sim.schedule_at(arrival, host._ingress, port, shape,
                             created_at, count)
-        self._arrivals.clear()
-        if port._fluid_tx is self:
-            port._fluid_tx = None
+        for column in self._inbound:
+            column.clear()

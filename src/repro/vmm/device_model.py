@@ -23,7 +23,7 @@ from repro.core.optimizations import OptimizationConfig
 from repro.obs.ledger import NULL_LEDGER
 from repro.sim.trace import NULL_TRACER
 from repro.vmm.domain import Domain
-from repro.vmm.vmexit import VmExitKind, VmExitTracer
+from repro.vmm.vmexit import VmExitKind, VmExitTracer, charge_exits
 
 
 class DeviceModel:
@@ -66,16 +66,12 @@ class DeviceModel:
                         domain=self.guest.id,
                         accelerated=self.opts.msi_acceleration)
         if self.opts.msi_acceleration:
-            cost = self.costs.xen_msi_accelerated_cycles
-            self.tracer.record(kind, cost)
-            ledger.charge(self.guest.name, "exit." + kind.value, cost)
-            self.guest.charge_hypervisor(cost)
+            charge_exits(self.tracer, ledger, self.guest, kind,
+                         self.costs.xen_msi_accelerated_cycles)
             return
         # Unoptimized: Xen forwards to the device model in dom0.
-        xen_cost = self.costs.xen_msi_forward_cycles
-        self.tracer.record(kind, xen_cost)
-        ledger.charge(self.guest.name, "exit." + kind.value, xen_cost)
-        self.guest.charge_hypervisor(xen_cost)
+        charge_exits(self.tracer, ledger, self.guest, kind,
+                     self.costs.xen_msi_forward_cycles)
         # dom0 side: wake qemu, emulate, reply.  The per-trap cost
         # inflates as more device models contend for dom0's VCPUs.
         inflation = 1.0 + self.costs.dm_msi_contention_per_vm * (self.contending_vms - 1)

@@ -35,11 +35,7 @@ from repro.vmm.event_channel import EventChannels
 from repro.vmm.interrupts import VectorAllocator
 from repro.vmm.scheduler import PinningPolicy
 from repro.vmm.virtual_lapic import VirtualLapic
-from repro.vmm.vmexit import VmExitKind, VmExitTracer
-
-#: Ledger categories for the per-interrupt charges, precomputed once.
-_CAT_EXTINT = "exit." + VmExitKind.EXTERNAL_INTERRUPT.value
-_CAT_HYPERCALL = "exit." + VmExitKind.HYPERCALL.value
+from repro.vmm.vmexit import VmExitKind, VmExitTracer, charge_exits
 
 
 class Xen:
@@ -181,24 +177,26 @@ class Xen:
             return  # interrupt for a torn-down domain: dropped at Xen
         domain = self.domains[owner_id]
         self.trace.begin("irq", "deliver", vector=vector, domain=owner_id)
-        # The external-interrupt VM exit + virtual interrupt bookkeeping.
-        cost = self.costs.external_interrupt_exit_cycles
-        self.tracer.record(VmExitKind.EXTERNAL_INTERRUPT, cost)
-        self.ledger.charge(domain.name, _CAT_EXTINT, cost)
-        domain.charge_hypervisor(cost)
+        self.account_interrupts(domain)
         if domain.is_hvm:
             self._vlapics[domain.id].inject(vector)
-        elif domain.is_pvm:
-            # Signalled as an event-channel upcall instead of a vLAPIC
-            # interrupt; cheaper (§6.4).
-            notify = self.costs.event_channel_notify_cycles
-            self.tracer.record(VmExitKind.HYPERCALL, notify)
-            self.ledger.charge(domain.name, _CAT_HYPERCALL, notify)
-            domain.charge_hypervisor(notify)
         handler = self.vectors.handler(vector)
         if handler is not None:
             handler(vector)
         self.trace.end("irq", "deliver", vector=vector)
+
+    def account_interrupts(self, domain: Domain, count: int = 1) -> None:
+        """Charge ``count`` MSIs delivered to ``domain``: the
+        external-interrupt exit and, for a PVM guest, the event-channel
+        upcall that signals it instead of a vLAPIC interrupt (§6.4)."""
+        costs = self.costs
+        charge_exits(self.tracer, self.ledger, domain,
+                     VmExitKind.EXTERNAL_INTERRUPT,
+                     costs.external_interrupt_exit_cycles * count, count)
+        if domain.is_pvm:
+            charge_exits(self.tracer, self.ledger, domain,
+                         VmExitKind.HYPERCALL,
+                         costs.event_channel_notify_cycles * count, count)
 
     # ------------------------------------------------------------------
     # measurement

@@ -24,12 +24,7 @@ from repro.core.optimizations import OptimizationConfig
 from repro.obs.ledger import NULL_LEDGER
 from repro.sim.trace import NULL_TRACER
 from repro.vmm.domain import Domain
-from repro.vmm.vmexit import VmExitKind, VmExitTracer
-
-#: Ledger categories, precomputed: these strings are rebuilt per
-#: interrupt otherwise, and interrupts are the critical path.
-_CAT_APIC_OTHER = "exit." + VmExitKind.APIC_ACCESS_OTHER.value
-_CAT_APIC_EOI = "exit." + VmExitKind.APIC_ACCESS_EOI.value
+from repro.vmm.vmexit import VmExitKind, VmExitTracer, charge_exits
 
 
 class VirtualLapic:
@@ -72,20 +67,43 @@ class VirtualLapic:
         lapic.fire(vector)
         if lapic.interrupt_window_open:
             lapic.ack()
-        # Charge the calibrated count of non-EOI APIC accesses.  The
-        # count is fractional (1.13 per interrupt); carry the remainder.
-        self._carry += self.costs.other_apic_accesses_per_interrupt
-        accesses = int(self._carry)
-        self._carry -= accesses
+        accesses = self.other_accesses()
         if accesses:
             self.trace.emit("apic", "inject", vector=vector,
                             domain=self.domain.id, accesses=accesses)
-        ledger = self.ledger
         for _ in range(accesses):
-            cost = self.costs.other_apic_access_cycles
-            self.tracer.record(VmExitKind.APIC_ACCESS_OTHER, cost)
-            ledger.charge(self.domain.name, _CAT_APIC_OTHER, cost)
-            self.domain.charge_hypervisor(cost)
+            self.account(other=1)
+
+    def other_accesses(self) -> int:
+        """The non-EOI APIC accesses one interrupt costs: the calibrated
+        count is fractional (1.13), so the remainder carries over."""
+        self._carry += self.costs.other_apic_accesses_per_interrupt
+        accesses = int(self._carry)
+        self._carry -= accesses
+        return accesses
+
+    @property
+    def eoi_cycles(self) -> float:
+        """The cost of one EOI-write exit under the §5.2 switches."""
+        costs = self.costs
+        if self.opts.eoi_acceleration:
+            cost = costs.eoi_accelerated_cycles
+            if self.opts.eoi_instruction_check:
+                cost += costs.eoi_instruction_check_cycles
+            return cost
+        return costs.eoi_emulate_cycles
+
+    def account(self, other: int = 0, eois: int = 0) -> None:
+        """Charge ``other`` non-EOI APIC-access exits and ``eois`` EOI
+        writes to this guest."""
+        if other:
+            charge_exits(self.tracer, self.ledger, self.domain,
+                         VmExitKind.APIC_ACCESS_OTHER,
+                         self.costs.other_apic_access_cycles * other, other)
+        if eois:
+            charge_exits(self.tracer, self.ledger, self.domain,
+                         VmExitKind.APIC_ACCESS_EOI,
+                         self.eoi_cycles * eois, eois)
 
     # ------------------------------------------------------------------
     # guest side: the EOI write at the end of the handler
@@ -96,17 +114,9 @@ class VirtualLapic:
         This is an APIC-access exit whose cost depends on the §5.2
         optimization switches.
         """
-        if self.opts.eoi_acceleration:
-            cost = self.costs.eoi_accelerated_cycles
-            if self.opts.eoi_instruction_check:
-                cost += self.costs.eoi_instruction_check_cycles
-        else:
-            cost = self.costs.eoi_emulate_cycles
-        self.tracer.record(VmExitKind.APIC_ACCESS_EOI, cost)
-        self.ledger.charge(self.domain.name, _CAT_APIC_EOI, cost)
+        self.account(eois=1)
         self.trace.emit("apic", "eoi", domain=self.domain.id,
                         accelerated=self.opts.eoi_acceleration)
-        self.domain.charge_hypervisor(cost)
         lapic = self.domain.lapic
         assert lapic is not None
         retired = lapic.eoi()

@@ -44,11 +44,12 @@ class VmExitTracer:
         }
         self._epoch: float = 0.0
 
-    def record(self, kind: VmExitKind, cycles: float) -> None:
+    def record(self, kind: VmExitKind, cycles: float, count: int = 1) -> None:
+        """Record ``count`` exits of ``kind`` costing ``cycles`` in all."""
         if cycles < 0:
             raise ValueError("exit cost cannot be negative")
         record = self._records[kind]
-        record.count += 1
+        record.count += count
         record.cycles += cycles
 
     def count(self, kind: VmExitKind) -> int:
@@ -89,3 +90,18 @@ class VmExitTracer:
         for record in self._records.values():
             record.count = 0
             record.cycles = 0.0
+
+
+#: The cycle ledger's category for each exit kind.
+_EXIT_CATEGORIES: Dict[VmExitKind, str] = {
+    kind: "exit." + kind.value for kind in VmExitKind}
+
+
+def charge_exits(tracer: VmExitTracer, ledger, domain, kind: VmExitKind,
+                 cycles: float, count: int = 1) -> None:
+    """Book ``count`` exits of ``kind``, ``cycles`` in all, taken on
+    ``domain``'s behalf: the exit tracer, the ledger's ``exit.<kind>``
+    cell and the hypervisor's account on the domain's core."""
+    tracer.record(kind, cycles, count)
+    ledger.charge(domain.name, _EXIT_CATEGORIES[kind], cycles, count=count)
+    domain.charge_hypervisor(cycles)

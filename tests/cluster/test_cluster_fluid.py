@@ -144,6 +144,20 @@ class TestClusterFluidFallbacks:
         # Host b (one VM per port) still collapses both of its streams.
         assert fluid.fluid["flows"] == 2
 
+    def test_faults_fall_back_wholesale_and_say_so(self):
+        # A fault plan keeps the whole cluster exact; the sidecar counts
+        # one faults rejection per stream, and the result (cluster
+        # extras included) is exactly the exact run's.
+        faults = [{"kind": "fabric_partition", "at": 0.06,
+                   "duration": 0.01, "groups": [["a"], ["b"]]}]
+        exact = run(_scenario("exact", faults=faults))
+        fluid = run(_scenario("fluid", faults=faults))
+        assert (json.dumps(fluid.to_dict(), sort_keys=True)
+                == json.dumps(exact.to_dict(), sort_keys=True))
+        assert fluid.fluid["rejections"] == {"faults": 2}
+        assert fluid.fluid["collapsed_events"] == 0
+        assert fluid.fluid["flows"] == 0
+
     def test_exact_mode_carries_no_fluid_sidecar(self):
         result = run(_scenario("exact"))
         assert result.fluid is None

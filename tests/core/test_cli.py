@@ -115,6 +115,16 @@ class TestSmokeRuns:
         assert "throughput" in out
         assert "Gbps" in out
 
+    def test_sriov_fluid_run_names_the_faults_gate(self, capsys):
+        code = run_cli(["--warmup", "0.05", "--duration", "0.05",
+                        "sriov", "--vms", "1", "--ports", "1",
+                        "--itr", "2000", "--sim-mode", "fluid",
+                        "--fault", "link_flap:at=0.06,duration=0.005"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "fluid      : 0 of" in err
+        assert "rejected: faults=1" in err
+
     def test_pv_run(self, capsys):
         code = run_cli(["--warmup", "0.2", "--duration", "0.2",
                         "pv", "--vms", "1", "--ports", "1"])

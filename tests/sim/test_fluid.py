@@ -142,12 +142,28 @@ class TestExactFallbacks:
             expect_collapsed=False)
 
     def test_faults_fall_back_wholesale(self):
-        _assert_equivalent(
-            Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
-                     vm_count=2, warmup=0.05, duration=0.05,
-                     faults=[{"kind": "link_flap", "at": 0.06,
-                              "port": 0, "duration": 0.005}]),
-            expect_collapsed=False)
+        faulted = Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
+                           vm_count=2, warmup=0.05, duration=0.05,
+                           faults=[{"kind": "link_flap", "at": 0.06,
+                                    "port": 0, "duration": 0.005}])
+        _assert_equivalent(faulted, expect_collapsed=False)
+        # Not silent: every stream names the gate that kept it exact.
+        runner = ExperimentRunner(warmup=faulted.warmup,
+                                  duration=faulted.duration,
+                                  faults=faulted.faults, sim_mode="fluid")
+        result = _dispatch(runner, faulted)
+        assert result.fluid["rejections"] == {"faults": 2}
+        assert result.fluid["collapsed_events"] == 0
+        assert result.fluid["flows"] == 0
+
+    def test_faults_gate_on_intervm_loopback(self):
+        runner = ExperimentRunner(
+            warmup=0.02, duration=0.02, sim_mode="fluid",
+            faults=[{"kind": "link_flap", "at": 0.03, "port": 0,
+                     "duration": 0.005}])
+        result = runner.run_intervm_sriov(offered_bps=2e9)
+        assert result.fluid["rejections"] == {"faults": 1}
+        assert result.fluid["collapsed_events"] == 0
 
 
 class TestAdaptiveItrCollapse:
@@ -417,6 +433,60 @@ class TestRejectionDiagnostics:
         counter = bed.platform.metrics.scope("fluid").counter(
             "rejected.tracer")
         assert counter.value == 1
+
+
+class TestLapicBusy:
+    """A vLAPIC that is not idle breaks the replay's closed
+    fire -> ack -> EOI cycle: it refuses collapse at attach, and a
+    collapsed flow whose guest raises its TPR leaves the fast path at
+    the next settle point."""
+
+    def test_raised_tpr_refuses_at_attach(self):
+        snaps = {}
+        for mode in ("exact", "fluid"):
+            bed = Testbed(TestbedConfig(ports=1, sim_mode=mode))
+            guest = bed.add_sriov_guest(name="vm0")
+            # Mask the flow's vector class: injected interrupts stay
+            # pending in the IRR instead of being acknowledged.
+            guest.domain.lapic.tpr = 0xF0
+            stream = bed.attach_client_to_sriov(guest, 900e6)
+            stream.start()
+            bed.sim.run(until=0.0201)
+            bed.settle_fluid()
+            snaps[mode] = _counters_snapshot(bed, guest, stream)
+            if mode == "fluid":
+                assert bed.fluid_rejections == {"lapic_busy": 1}
+                assert not bed.fluid_flows
+                assert bed.sim.collapsed_events == 0
+        assert snaps["fluid"] == snaps["exact"]
+
+    def test_tpr_raised_on_a_collapsed_guest_matches_exact(self,
+                                                           monkeypatch):
+        # The fig. 15 shape, with every guest raising its TPR halfway
+        # through warmup: the warmup settle point finds the vLAPICs
+        # busy and decollapses, and the rest of the run is exact.
+        measure = ExperimentRunner._measure
+
+        def raise_tpr_midway(runner, bed, apps, drivers):
+            def mask():
+                for guest in bed.sriov_guests:
+                    guest.domain.lapic.tpr = 0xF0
+            bed.sim.schedule(runner.warmup / 2, mask)
+            return measure(runner, bed, apps, drivers)
+
+        monkeypatch.setattr(ExperimentRunner, "_measure", raise_tpr_midway)
+        base = Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
+                        vm_count=2, warmup=0.02, duration=0.03)
+        exact, _events, _collapsed = _run(base)
+        runner = ExperimentRunner(warmup=base.warmup,
+                                  duration=base.duration, sim_mode="fluid")
+        fluid = _dispatch(runner, base)
+        assert fluid.to_dict() == exact
+        # Collapsed until the settle point, exact after it.
+        assert 0 < fluid.fluid["collapsed_events"]
+        assert not any(flow.active for flow in runner.last_bed.fluid_flows)
+        lapics = [guest.domain.lapic for guest in runner.last_bed.sriov_guests]
+        assert all(lapic.tpr == 0xF0 for lapic in lapics)
 
 
 def _counters_snapshot(bed, guest, stream):
