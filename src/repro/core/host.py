@@ -32,6 +32,7 @@ from repro.net.link import Link
 from repro.net.mac import MacAddress
 from repro.net.netperf import NetperfStream
 from repro.net.packet import DEFAULT_MTU, Protocol
+from repro.sim.fluid import rearm
 from repro.vmm.domain import DomainKind, GuestKernel
 
 _KINDS = {"hvm": DomainKind.HVM, "pvm": DomainKind.PVM}
@@ -463,11 +464,11 @@ class Host:
         promise the exact engine must keep (:meth:`_egress`).
         """
         flows = [flow for flow in self.bed.fluid_flows if flow.active]
-        now = self.sim.now
+        sim = self.sim
         for flow in flows:
             flow.active = False
         for flow in flows:
-            flow._advance(now, inclusive=False)
+            flow._advance(sim.now, not sim._running)
         if flows:
             split = [flow.split_egress() for flow in flows]
             self._number_egress([(flow, delivered) for flow, (delivered, _p)
@@ -475,9 +476,11 @@ class Host:
             self._promised.extend(sorted(
                 entry for _delivered, promised in split
                 for entry in promised))
+        pending = []
         for flow in flows:
-            flow._finish_decollapse()
+            pending.extend(flow._finish_decollapse())
             self.bed.record_fluid_rejection("host_evicted")
+        rearm(sim, pending)
         for flow in self.bed.fluid_flows:
             flow.detach()
 

@@ -15,6 +15,7 @@ each port j".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.costs import CostModel
@@ -142,6 +143,9 @@ class Testbed:
         #: id(port) -> FluidPortGroup for ports carrying more than one
         #: collapsed stream (see :class:`repro.sim.fluid.FluidPortGroup`).
         self._fluid_groups: Dict[int, object] = {}
+        #: The fluid replay's virtual seq counter: every virtual
+        #: schedule draws from it (see :mod:`repro.sim.fluid`).
+        self.virtual_seq = count()
         #: Gate name -> how many flows that ``try_attach`` gate refused
         #: (the ``fluid.rejected.<gate>`` diagnostic; empty in exact
         #: mode and when everything collapsed).

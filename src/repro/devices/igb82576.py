@@ -137,8 +137,8 @@ class _NetFunction:
         self.enabled = False
         #: Installed by the fluid datapath (repro.sim.fluid): called
         #: after every ITR register rewrite so a collapsed flow can
-        #: revalidate its replay-order window at the instant of the
-        #: change (ITR writes happen at sample ticks — settle points).
+        #: revalidate its window at the instant of the change (ITR
+        #: writes happen at sample ticks — settle points).
         self.fluid_listener = None
         # Statistics.  Conservation law (audited): every offered packet
         # is accounted exactly once — rx_offered == rx_packets +
@@ -329,10 +329,6 @@ class VirtualFunction(_NetFunction):
         #: The VF BAR's register file (VTCTRL, VTEITR...).
         self.regs = build_vf_registers(self)
 
-    @property
-    def assigned_rid(self) -> Optional[int]:
-        return self.pci.rid
-
 
 class PhysicalFunction(_NetFunction):
     """The PF: full config space with the SR-IOV extended capability."""
@@ -491,10 +487,6 @@ class Igb82576Port:
             # One DMA crossing host-ward per packet, booked as a batch.
             self.datapath.transfer(sum(p.size_bytes for p in packets))
             function.device_receive(packets)
-
-    def wire_receive_one(self, packet: Packet) -> None:
-        """Link-compatible single-packet ingress."""
-        self.wire_receive([packet])
 
     # ------------------------------------------------------------------
     # transmit routing

@@ -96,9 +96,6 @@ class L2Switch:
                 del self._multicast[mac]
         self.generation += 1
 
-    def multicast_subscribers(self, mac: MacAddress) -> "set":
-        return set(self._multicast.get(mac, ()))
-
     def entries(self) -> List[Tuple[MacAddress, int, int]]:
         return [(mac, vlan, fn) for (mac, vlan), fn in sorted(
             self._table.items(), key=lambda item: (item[0][0].value, item[0][1])

@@ -130,10 +130,6 @@ class Netback:
         return accepted
 
     # ------------------------------------------------------------------
-    @property
-    def total_queue_depth(self) -> int:
-        return sum(e.queue_depth for e in self.executors)
-
     def capacity_pps(self, domain: Domain) -> float:
         """Theoretical pool service rate for packets to ``domain``."""
         per_thread = self.costs.clock_hz / self.cycles_per_packet(domain)

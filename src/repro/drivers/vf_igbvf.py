@@ -331,8 +331,3 @@ class VfDriver:
         self.domain.io_page_table.map(
             RX_POOL_BASE, 0x4000_0000 + self.domain.id * 0x100_0000,
             size=pool_pages * 4096)
-
-    @property
-    def current_interrupt_hz(self) -> float:
-        interval = self.vf.throttle.interval
-        return 1.0 / interval if interval > 0 else float("inf")

@@ -64,11 +64,6 @@ class CpuCore:
     def reset(self) -> None:
         self._accounts.clear()
 
-    @property
-    def overcommitted_after(self) -> Callable[[float], bool]:
-        """Return a predicate telling whether charges exceeded capacity."""
-        return lambda elapsed: self.cycles() > elapsed * self.clock_hz
-
 
 class Machine:
     """A multi-core host: the unit the paper reports utilization against.

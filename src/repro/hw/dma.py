@@ -192,15 +192,6 @@ class DescriptorRing:
         self.completed += 1
         return slot
 
-    # ------------------------------------------------------------------
-    # The driver's cleanup cursor trails the device's head.
-    # ------------------------------------------------------------------
-    def _clean_index(self) -> int:
-        return self._clean
-
-    def _advance_clean(self) -> None:
-        self._clean = (self._clean + 1) % self.size
-
     def reset(self) -> None:
         """Device reset: everything returns to software, state cleared."""
         self.head = 0

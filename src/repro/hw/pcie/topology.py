@@ -190,9 +190,6 @@ class RootComplex:
     def function_at(self, rid: int) -> Optional[PciFunction]:
         return self._functions.get(rid)
 
-    def all_functions(self) -> List[PciFunction]:
-        return list(self._functions.values())
-
     # ------------------------------------------------------------------
     # transaction routing
     # ------------------------------------------------------------------

@@ -141,13 +141,6 @@ class ToRSwitch:
         """
         self._timeline = timeline
 
-    def drain(self, count: int = 1) -> None:
-        """Account frames that left a wire but met a silenced endpoint
-        (used by the coordinator for frames already in flight when a
-        host crashes)."""
-        self.offered += count
-        self.drained += count
-
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
@@ -173,14 +166,7 @@ class ToRSwitch:
         — dropping the whole record would punish frames that had queue
         room.  A forwarded record's count is its accepted prefix length
         and its arrival is when its last frame clears the egress port.
-
-        A plain record dict (``t``, ``src_host``, ``dst``, ``size``,
-        ``vlan``, ``count``...) routes as a one-record batch and comes
-        back as the same dict with ``dst_host`` and ``arrival`` filled
-        in (and ``count`` cut to the accepted prefix), or None.
         """
-        if isinstance(batch, dict):
-            return self._route_record(batch)
         shape, times, _seqs, created = batch[:4]
         counts = batch[4] if len(batch) > 4 else None
         src_host, _src, dst, size, vlan = shape[:5]
@@ -267,22 +253,6 @@ class ToRSwitch:
         self._free_at[dst_host] = free_at
         return (dst_host, shape, arrivals, kept_created,
                 None if counts is None else kept_counts)
-
-    def _route_record(self, message: dict) -> Optional[dict]:
-        count = message.get("count", 1)
-        shape = (message.get("src_host"), message["src"], message["dst"],
-                 message["size"], message["vlan"], message["protocol"],
-                 message["flow_id"])
-        routed = self.route((shape, [message["t"]], [message.get("seq")],
-                             [message["created_at"]], [count]))
-        if routed is None:
-            return None
-        dst_host, _shape, arrivals, _created, counts = routed
-        if counts[0] < count:
-            message["count"] = counts[0]
-        message["dst_host"] = dst_host
-        message["arrival"] = arrivals[0]
-        return message
 
     def reset_counters(self) -> None:
         """Zero the traffic counters (measurement-window bookkeeping);

@@ -104,7 +104,6 @@ class Link:
         """Fraction of ``elapsed`` seconds the line spent transmitting."""
         if elapsed <= 0:
             return 0.0
-        busy = min(self._tx_free_at, self.sim.now)
         return min(1.0, (self.delivered_bytes.value * 8 / self.rate_bps) / elapsed)
 
     def _deliver(self, packet: Packet, was_queued: bool) -> None:

@@ -53,41 +53,64 @@ argument needs three properties, all enforced as eligibility gates
   keeps every stream exact.  So does a vLAPIC that is not idle: the
   replay assumes each interrupt's fire -> ack -> EOI cycle closes.
 
-Within a flow, replay order follows the exact engine's tie-break: a
-scheduled fire at time *t* was enqueued at least two burst intervals
-before the tick at *t* (the ``MIN_TICKS_PER_WINDOW`` gate), so the
-fire's lower sequence number runs first; an *inline* fire (throttle
-already past due when a tick requests) replays inside its tick, which
-is also where the exact run executes it.
+**Replay order** is one rule: ``(time, virtual seq)``, the exact
+engine's ``(time, handle seq)`` tie-break.  Every virtual *schedule* —
+a tick's reschedule, a fire's arming, a queued inbound record — draws
+its seq from the testbed's one counter (``Testbed.virtual_seq``) at the
+point of the replay where the exact engine creates that handle, so the
+seqs of one replay order as the engine's would.  The merged loops of
+:class:`FluidPortGroup` and :class:`FluidTxFlow` compare that key
+directly.  The solo loop of :meth:`FluidFlow._advance` takes the one
+shortcut the rule covers: a fire due at a tick's instant was armed by
+an earlier tick, or by the tick that re-armed this one before its
+reschedule, so the fire runs first and the tick's seq is drawn once
+per settle.  An *inline* fire (throttle already past due when a tick
+requests) replays inside its tick, which is also where the exact run
+executes it.  Between ``run()`` calls the engine's inclusive horizon
+has executed every event at ``now``, so settle points and decollapse
+replay inclusively there; inside an event they stop strictly before
+``now``.
 
 Anything dynamic — a switch reprogramming, a device reset, a rate
-change, a second stream on the port — triggers
+change, a stream the port group cannot admit — triggers
 :meth:`FluidFlow.decollapse`, which replays up to the present,
 materializes undrained packets into the real descriptor ring,
-re-schedules the real stream tick and any pending throttle fire, and
-resumes exact per-event simulation mid-run with no observable seam.
+re-creates the pending virtual handles as real events in replay order
+(:func:`rearm`), and resumes exact per-event simulation mid-run with no
+observable seam.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import partial
+from itertools import islice
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from repro.devices.igb82576 import TX_BACKLOG_LIMIT, VECTOR_RXTX
 
-#: Collapsing only pays when an ITR window spans several ticks — and the
-#: replay-order proof needs a scheduled fire to predate (in sequence
-#: numbers) any tick sharing its timestamp, which holds when the window
-#: is at least two burst intervals long.
+#: Collapsing only pays when an ITR window spans several ticks.
 MIN_TICKS_PER_WINDOW = 3.0
+
+
+def rearm(sim, pending) -> None:
+    """Re-create pending virtual handles as real events.
+
+    ``pending`` holds ``(time, virtual seq, arm)`` entries; each ``arm()``
+    schedules one handle.  Scheduling them in ``(time, virtual seq)``
+    order gives their fresh engine seqs the exact run's relative order.
+    """
+    for _time, _seq, arm in sorted(pending, key=itemgetter(0, 1)):
+        arm()
 
 
 class FluidFlow:
     """One collapsed client->VF stream on an otherwise idle port."""
 
-    #: Minimum throttle-window length, in burst intervals, for the
-    #: single-flow replay-order proof (subclasses with a total virtual
-    #: event order — sequence-stamped — relax this to 0).
+    #: Minimum throttle-window length, in burst intervals, worth
+    #: collapsing (flows that transmit through this host relax it to 0,
+    #: which lets the receiver's adaptive ITR reprogram freely).
     _min_window = MIN_TICKS_PER_WINDOW
 
     def __init__(self, bed, guest, stream):
@@ -109,18 +132,11 @@ class FluidFlow:
         #: The virtual image of ``InterruptThrottle._pending``: the
         #: absolute due time of the scheduled fire, or None.
         self._fire_at: Optional[float] = None
-        #: Creation stamps for the merged (multi-stream) replay: the
-        #: simulated time at which the *currently armed* tick/fire
-        #: handle was scheduled in the exact run.  Together with the
-        #: group's flow order and the fire-before-tick rank they
-        #: reconstruct the engine's sequence-number tie-break.
-        self._tick_created = 0.0
-        self._fire_created = 0.0
-        #: Flow-local stand-ins for engine handle seq numbers, drawn at
-        #: every virtual *schedule* (the total order of FluidTxFlow).
-        self._cseq = 1
-        self._tick_cseq = 0
-        self._fire_cseq = 0
+        #: The testbed's virtual seq counter, and the seqs of the armed
+        #: tick and fire handles (see the module docstring).
+        self._seqs = bed.virtual_seq
+        self._tick_seq = 0
+        self._fire_seq = 0
         #: The per-port :class:`FluidPortGroup` when other collapsed
         #: streams share this port (None for a solo flow).
         self.group: Optional["FluidPortGroup"] = None
@@ -164,9 +180,7 @@ class FluidFlow:
     def _reject(self, gate: str) -> bool:
         """Record which eligibility gate refused this flow."""
         self.reject_gate = gate
-        bed = self.bed
-        if bed is not None:
-            bed.record_fluid_rejection(gate)
+        self.bed.record_fluid_rejection(gate)
         return False
 
     # ------------------------------------------------------------------
@@ -263,8 +277,8 @@ class FluidFlow:
             self.tx_driver._fluid = self
         # Adaptive policies rewrite VTEITR at sample ticks (which are
         # settle points); the register hook tells us so a window that
-        # shrank below the replay-order proof leaves the fast path at
-        # the instant of the write.
+        # shrank below the collapse floor leaves the fast path at the
+        # instant of the write.
         vf.fluid_listener = self.interval_reprogrammed
         return True
 
@@ -366,16 +380,15 @@ class FluidFlow:
         """
         if self.active:
             return True
-        if not self._still_valid() or not self._ring_clean_and_mapped():
-            return False
-        # The ITR may have been reprogrammed (AIC) since attach; a
-        # window too short for the replay-order proof stays exact.
-        if (self.vf.throttle.interval
-                < self._min_window * self.stream.burst_interval):
-            return False
+        # The ITR may have been reprogrammed (AIC) since attach.  A
+        # port group's streams collapse together or not at all.
         group = self.group
-        if group is not None and not group.admits(self):
-            group.evict()
+        if not (self._still_valid() and self._ring_clean_and_mapped()
+                and self.vf.throttle.interval
+                >= self._min_window * self.stream.burst_interval
+                and (group is None or group.admits(self))):
+            if group is not None:
+                group.evict()
             return False
         ring = self.vf.rx_ring
         self.active = True
@@ -388,12 +401,7 @@ class FluidFlow:
         self._fire_at = None
         self._capacity = (ring.tail - ring.head) % ring.size
         self._t_next = self.sim.now + self.stream.burst_interval
-        self._tick_created = self.sim.now
-        self._cseq = 1
-        self._tick_cseq = 0
-        self._fire_cseq = 0
-        if group is not None:
-            group.joined(self)
+        self._tick_seq = next(self._seqs)
         return True
 
     def detach(self) -> None:
@@ -432,16 +440,16 @@ class FluidFlow:
         if times:
             self._carry = carry
             self._t_next = t
-            # The reschedule: the next tick's handle is created *now*.
-            self._tick_created = times[-1]
         return counts, times
 
     def _tick(self) -> None:
         """One client tick: ``NetperfStream._tick`` -> ``wire_receive``
-        -> ``device_receive`` -> ``InterruptThrottle.request``."""
+        -> ``device_receive`` -> ``InterruptThrottle.request``, then the
+        reschedule (after the sink, so a fire armed here comes first)."""
         counts, times = self._next_ticks(self._t_next, True)
         self._receive(counts, times)
         self._offer(counts, times)
+        self._tick_seq = next(self._seqs)
 
     def _receive(self, counts: List[int], times: List[float]) -> None:
         """``wire_receive``'s counter and host-ward DMA booking for a
@@ -503,9 +511,7 @@ class FluidFlow:
             self._fire(now)
         else:
             self._fire_at = due
-            self._fire_created = now
-            self._fire_cseq = self._cseq
-            self._cseq += 1
+            self._fire_seq = next(self._seqs)
 
     def _fire(self, now: float) -> None:
         """One interrupt, reduced to its order-sensitive state: the
@@ -593,13 +599,12 @@ class FluidFlow:
 
         Merges the tick clock and the pending-fire clock in the exact
         engine's order: at equal timestamps the scheduled fire runs
-        first (its handle predates the tick's by at least one burst
-        interval — see MIN_TICKS_PER_WINDOW).  Each replayed virtual
-        event counts once in ``collapsed_events``; a fire that the
-        exact run executes *inline* within a tick replays inside that
-        tick and adds nothing extra.  When other collapsed streams
-        share the port, the whole group advances together in merged
-        order (shared DMA-pipe bookings must interleave exactly).
+        first (the solo shortcut of the module docstring).  Each
+        replayed virtual event counts once in ``collapsed_events``; a
+        fire that the exact run executes *inline* within a tick replays
+        inside that tick and adds nothing extra.  When other collapsed
+        streams share the port, the whole group advances together in
+        merged order (shared DMA-pipe bookings must interleave exactly).
         """
         group = self.group
         if group is not None and group.needs_merge():
@@ -644,6 +649,10 @@ class FluidFlow:
             self._fire_at = None
             self._fire(fire_at)
             collapsed += 1
+        if end:
+            # The last replayed tick's reschedule, after every fire it
+            # or an earlier tick armed.
+            self._tick_seq = next(self._seqs)
         self.sim.collapsed_events += collapsed
         self._flush()
 
@@ -663,7 +672,8 @@ class FluidFlow:
         the top of real events whose handles predate any same-time
         virtual event (the ITR sample tick, scheduled a full period
         ago): the exact run executes that event *before* equal-time
-        ticks or fires."""
+        ticks or fires.  Between runs it is inclusive, like
+        :meth:`settle`."""
         self._catch_up(False)
 
     def _catch_up(self, inclusive: bool) -> None:
@@ -672,7 +682,8 @@ class FluidFlow:
         if not self._still_valid():
             self.decollapse()
             return
-        self._advance(self.sim.now, inclusive)
+        sim = self.sim
+        self._advance(sim.now, inclusive or not sim._running)
 
     def interval_reprogrammed(self, interval: float) -> None:
         """A VTEITR write is about to land (the register hook calls
@@ -681,10 +692,9 @@ class FluidFlow:
         ran with in the exact engine; adaptive sample ticks already
         settled strictly, so for them this is a no-op.  Future replayed
         ``request``\\ s read the throttle live and pick up the new value
-        automatically — but a window shorter than the replay-order
-        proof allows (see ``MIN_TICKS_PER_WINDOW``) must leave the fast
-        path *now*, while the exact and collapsed timelines still
-        agree."""
+        automatically — but a window shorter than the collapse floor
+        (see ``MIN_TICKS_PER_WINDOW``) leaves the fast path *now*,
+        while the exact and collapsed timelines still agree."""
         if not self.active:
             return
         self.settle_strict()
@@ -700,10 +710,11 @@ class FluidFlow:
         """Fall back to exact per-event simulation, seamlessly.
 
         Replays every virtual event an exact run would already have
-        executed (strictly before now), materializes the undrained
-        packets into the real descriptor ring, hands the carry back to
-        the stream, re-schedules its exact ``_tick`` chain and re-arms
-        the real throttle timer if a fire was pending.
+        executed (before now; through now between runs), materializes
+        the undrained packets into the real descriptor ring, hands the
+        carry back to the stream, and re-creates its pending handles —
+        the ``_tick`` chain, a pending throttle fire, in-flight
+        deliveries — as real events (:func:`rearm`).
         """
         if not self.active:
             return
@@ -715,28 +726,32 @@ class FluidFlow:
             group.decollapse_all()
             return
         self.active = False
-        self._advance(self.sim.now, inclusive=False)
-        self._finish_decollapse()
-
-    def _finish_decollapse(self) -> None:
-        """Materialize state and re-arm the real timers (the replay up
-        to the present must already have run)."""
         sim = self.sim
+        self._advance(sim.now, not sim._running)
+        rearm(sim, self._finish_decollapse())
+
+    def _finish_decollapse(self) -> list:
+        """Materialize state and return the pending handles to re-create,
+        as :func:`rearm` entries (the replay up to the present must
+        already have run)."""
         self._materialize()
-        self._restore_inflight()
         stream = self.stream
         stream._carry = self._carry
+        pending = []
         if stream._running:
-            stream._tick_handle = sim.schedule_at(self._t_next, stream._tick)
-        throttle = self.vf.throttle
-        if self._fire_at is not None and throttle._pending is None:
-            throttle._pending = sim.schedule_at(self._fire_at,
-                                                throttle._do_fire)
-        self._fire_at = None
+            pending.append((self._t_next, self._tick_seq, self._arm_tick))
+        if self._fire_at is not None and self.vf.throttle._pending is None:
+            pending.append((self._fire_at, self._fire_seq, self._arm_fire))
+        return pending
 
-    def _restore_inflight(self) -> None:
-        """Re-schedule in-flight deliveries the replay still owed (the
-        loopback flow's DMA completions); nothing for a wire stream."""
+    def _arm_tick(self) -> None:
+        stream = self.stream
+        stream._tick_handle = self.sim.schedule_at(self._t_next, stream._tick)
+
+    def _arm_fire(self) -> None:
+        throttle = self.vf.throttle
+        throttle._pending = self.sim.schedule_at(self._fire_at,
+                                                 throttle._do_fire)
 
     def _materialize(self) -> None:
         """Turn pending runs into real ring occupancy."""
@@ -777,22 +792,9 @@ class FluidPortGroup:
     disjoint, but the port's DMA pipe is not: its busy horizon evolves
     per booking, so the flows' virtual events must replay in the exact
     engine's global order, not flow-by-flow.  The group merges its
-    members' virtual clocks under the key ``(time, creation stamp,
-    begin index, fire-before-tick rank)``:
-
-    * handles created at different simulated times compare by creation
-      stamp (the engine's seq counter is monotone across event
-      execution, and events execute in time order);
-    * at equal stamps, the *creating* events themselves ran in begin
-      order (inductively — see :meth:`admits`), so begin index is the
-      tie-break;
-    * within one tick event the sink runs before the reschedule
-      (``NetperfStream._tick``), so a fire armed there predates the
-      next tick handle — the final rank.
-
-    The induction needs the members phase-locked (equal burst
-    intervals, tick clocks armed together at a common instant), which
-    :meth:`admits` enforces at every ``begin``.
+    members' armed ticks and fires by ``(time, virtual seq)``; a joiner
+    draws its first seq only after the members have replayed up to its
+    start (:meth:`admits`).
     """
 
     def __init__(self, bed, port):
@@ -800,9 +802,6 @@ class FluidPortGroup:
         self.port = port
         #: Attach-ordered members (the eviction set).
         self.members: List[FluidFlow] = []
-        #: Begin-ordered active members; list index reconstructs the
-        #: exact engine's handle-creation order.
-        self._order: List[FluidFlow] = []
         #: Once evicted, the port's streams run exact; later streams
         #: must not collapse beside them.
         self.dead = False
@@ -813,39 +812,36 @@ class FluidPortGroup:
         self.members.append(flow)
         flow.group = self
         flow._dma = self._dma
-        if flow.active:
-            # Already begun before the group existed (the port's second
-            # stream arrived mid-run): it must be visible to admits()
-            # and to the merged replay from this point on.
-            self.joined(flow)
 
-    def joined(self, flow: FluidFlow) -> None:
-        if flow not in self._order:
-            self._order.append(flow)
+    def _actives(self) -> List[FluidFlow]:
+        return [flow for flow in self.members if flow.active]
 
     def needs_merge(self) -> bool:
         """More than one active member: replay must interleave."""
-        return sum(flow.active for flow in self._order) > 1
+        return sum(flow.active for flow in self.members) > 1
 
     def admits(self, flow: FluidFlow) -> bool:
-        """May ``flow`` begin collapsing alongside the active members?
+        """May ``flow`` begin collapsing beside the other members?
 
-        Sound when the group is phase-locked: identical burst
-        intervals, every active tick clock armed at this same instant,
-        no fire in flight — exactly the state at a common setup-time
-        start.  A stream joining mid-window would need the engine's
-        live sequence numbers to order against, so the whole port
-        falls back to exact instead (:meth:`evict`).
+        The members replay up to now first, so the joiner's first tick
+        seq postdates every handle they armed, as in the exact engine.
+        Refused when a member's stream runs exact (its real bookings
+        would interleave with collapsed ones), or when ``flow`` starts
+        inside an event while a member has a virtual event at exactly
+        now: the exact engine may run that one on either side of this
+        event.
         """
-        now = flow.sim.now
-        bi = flow.stream.burst_interval
-        for member in self._order:
-            if member is flow or not member.active:
-                continue
-            if (member.stream.burst_interval != bi
-                    or member._t_next != now + bi
-                    or member._tick_created != now
-                    or member._fire_at is not None):
+        actives = self._actives()
+        if actives:
+            # One settle replays every active member (merged or solo).
+            actives[0].settle_strict()
+        sim = flow.sim
+        for member in self.members:
+            if member.active:
+                if sim._running and sim.now in (member._t_next,
+                                                member._fire_at):
+                    return False
+            elif member is not flow and member.stream._running:
                 return False
         return True
 
@@ -853,36 +849,31 @@ class FluidPortGroup:
     # the merged virtual event loop
     # ------------------------------------------------------------------
     def advance(self, limit: float, inclusive: bool) -> None:
-        actives = [flow for flow in self._order if flow.active]
-        for flow in actives:
-            if not flow._still_valid():
-                self.decollapse_all()
-                return
-        self._advance_members(actives, limit, inclusive)
+        actives = self._actives()
+        if all(flow._still_valid() for flow in actives):
+            self._advance_members(actives, limit, inclusive)
+        else:
+            self.decollapse_all()
 
     def _advance_members(self, actives: List[FluidFlow], limit: float,
                          inclusive: bool) -> None:
-        if not actives:
-            return
         collapsed = 0
         while True:
             best = None
             best_key = None
-            for idx, flow in enumerate(actives):
-                fire_at = flow._fire_at
-                if fire_at is not None:
-                    key = (fire_at, flow._fire_created, idx, 0)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = flow
-                key = (flow._t_next, flow._tick_created, idx, 1)
+            fire = False
+            for flow in actives:
+                key = (flow._t_next, flow._tick_seq)
                 if best_key is None or key < best_key:
-                    best_key = key
-                    best = flow
+                    best_key, best, fire = key, flow, False
+                if flow._fire_at is not None:
+                    key = (flow._fire_at, flow._fire_seq)
+                    if key < best_key:
+                        best_key, best, fire = key, flow, True
             t = best_key[0]
             if not (t < limit or (inclusive and t == limit)):
                 break
-            if best_key[3] == 0:
+            if fire:
                 best._fire_at = None
                 best._fire(t)
             else:
@@ -901,33 +892,30 @@ class FluidPortGroup:
         One member's exact events would interleave with the others'
         lazy DMA bookings, so a port group only ever leaves the fast
         path whole: replay all members (merged) up to now, then
-        materialize and re-arm each.
+        materialize each and re-create their handles in replay order.
         """
-        actives = [flow for flow in self._order if flow.active]
+        actives = self._actives()
         if not actives:
             return
         sim = actives[0].sim
         for flow in actives:
             flow.active = False
-        self._advance_members(actives, sim.now, inclusive=False)
-        for flow in actives:
-            flow._finish_decollapse()
-        self._order = [flow for flow in self._order if flow.active]
+        self._advance_members(actives, sim.now, not sim._running)
+        rearm(sim, [entry for flow in actives
+                    for entry in flow._finish_decollapse()])
 
     def evict(self) -> None:
         """Decollapse everything and unhook every member for good —
-        a stream the group cannot admit arrived, so the port's streams
-        (current and future) all run exact."""
+        a stream on the port cannot collapse beside the others, so the
+        port's streams (current and future) all run exact."""
         self.dead = True
         self.decollapse_all()
         bed = self.bed
         for flow in self.members:
             flow.group = None
             flow.detach()
-            if bed is not None:
-                bed.record_fluid_rejection("port_evicted")
+            bed.record_fluid_rejection("port_evicted")
         self.members.clear()
-        self._order.clear()
 
 
 class FluidTxFlow(FluidFlow):
@@ -938,11 +926,7 @@ class FluidTxFlow(FluidFlow):
     Three virtual event kinds interleave on such a flow: the sender's
     burst ticks, inbound deliveries (loopback DMA completions or fabric
     arrivals) and the receiver's throttle fires.  They replay ordered
-    by ``(time, flow-local virtual seq)``, the seq drawn at every
-    virtual *schedule* in the order the exact engine hands out handle
-    seqs (the port carries this one stream), so the merge is a total
-    order: ``_min_window`` relaxes to 0, which also lets the receiver's
-    adaptive-ITR policy reprogram freely between samples.
+    by ``(time, virtual seq)`` in one inline three-way loop.
     """
 
     _min_window = 0.0
@@ -1001,7 +985,7 @@ class FluidTxFlow(FluidFlow):
         due, seqs = self._inbound[:2]
         while True:
             t = self._t_next
-            c = self._tick_cseq
+            c = self._tick_seq
             kind = 0
             k = self._next_inbound
             if k < len(due) and (due[k], seqs[k]) < (t, c):
@@ -1009,7 +993,7 @@ class FluidTxFlow(FluidFlow):
                 c = seqs[k]
                 kind = 1
             fire_at = self._fire_at
-            if fire_at is not None and (fire_at, self._fire_cseq) < (t, c):
+            if fire_at is not None and (fire_at, self._fire_seq) < (t, c):
                 t = fire_at
                 kind = 2
             if not (t < limit or (inclusive and t == limit)):
@@ -1058,12 +1042,10 @@ class FluidTxFlow(FluidFlow):
         """Queue deliveries — ``counts[i]`` frames sent at ``sends[i]``,
         due at ``times[i]`` — drawing their virtual seqs in order."""
         due, seqs, sent, frames = self._inbound
-        cseq = self._cseq
         due.extend(times)
-        seqs.extend(range(cseq, cseq + len(times)))
+        seqs.extend(islice(self._seqs, len(times)))
         sent.extend(sends)
         frames.extend(counts)
-        self._cseq = cseq + len(times)
 
     def _replay_inbound(self, limit: float, inclusive: bool) -> int:
         """The run of inbound deliveries due before the next tick, the
@@ -1075,7 +1057,7 @@ class FluidTxFlow(FluidFlow):
         first = start = i = self._next_inbound
         end = len(due)
         tick_t = self._t_next
-        tick_c = self._tick_cseq
+        tick_c = self._tick_seq
         throttle = self.vf.throttle
         # The run is accepted in one go — once a fire is armed, requests
         # are no-ops — except around a request that fires inline.  The
@@ -1088,7 +1070,7 @@ class FluidTxFlow(FluidFlow):
             fire_at = self._fire_at
             if fire_at is not None:
                 if not (t < fire_at
-                        or (t == fire_at and seqs[i] < self._fire_cseq)):
+                        or (t == fire_at and seqs[i] < self._fire_seq)):
                     break
             elif t >= throttle._last_fired + throttle.interval:
                 if start < i:
@@ -1111,6 +1093,25 @@ class FluidTxFlow(FluidFlow):
                                     [n * size for n in frames])
             self._wire_rx += sum(frames)
         return i - first
+
+    # ------------------------------------------------------------------
+    # leaving the fast path
+    # ------------------------------------------------------------------
+    def _finish_decollapse(self) -> list:
+        pending = super()._finish_decollapse()
+        schedule_at = self.sim.schedule_at
+        event = self._inbound_event
+        for t, seq, sent, frames in zip(*self._inbound):
+            pending.append((t, seq, partial(schedule_at, t,
+                                            *event(sent, frames))))
+        for column in self._inbound:
+            column.clear()
+        return pending
+
+    def _inbound_event(self, sent: float, frames: int) -> tuple:
+        """The real event (callback and arguments) the exact run has
+        pending for one queued inbound record."""
+        raise NotImplementedError
 
 
 class FluidLoopbackFlow(FluidTxFlow):
@@ -1160,24 +1161,11 @@ class FluidLoopbackFlow(FluidTxFlow):
                 tx.tx_backlog_drops += count - passed
         # The reschedule runs after the sink, so the next tick handle's
         # virtual seq postdates this tick's completions.
-        self._tick_cseq = self._cseq
-        self._cseq += 1
+        self._tick_seq = next(self._seqs)
 
-    def _restore_inflight(self) -> None:
-        due, _seqs, sends, _counts = self._inbound
-        if not due:
-            return
+    def _inbound_event(self, sent: float, frames: int) -> tuple:
+        # An in-flight crossing: the internal-loopback DMA completion.
         src, dst, size, vlan, protocol, flow_id = self._rx_header
-        acquire = self.stream.pool.acquire_burst
-        port = self.port
-        vf = self.vf
-        schedule_at = self.sim.schedule_at
-        # In-flight crossings become real scheduled deliveries, in
-        # creation (= finish) order so their new handle seqs preserve
-        # the exact run's relative order.
-        for fin, tick_time in zip(due, sends):
-            packet = acquire(1, src, dst, size, vlan, protocol, flow_id,
-                             tick_time)[0]
-            schedule_at(fin, port._deliver_internal(vf, packet))
-        for column in self._inbound:
-            column.clear()
+        packet = self.stream.pool.acquire_burst(
+            1, src, dst, size, vlan, protocol, flow_id, sent)[0]
+        return (self.port._deliver_internal(self.vf, packet),)

@@ -27,8 +27,8 @@ replay is split in two sides:
 * **The DMA side** — the ``PcieDataPath`` bookings, the still-evaluated
   drop check, cycle charges and the VF's counters — stays in the merged
   replay with fabric arrivals and interrupt fires, ordered by ``(time,
-  virtual seq)``: each virtual *schedule* draws a flow-local sequence
-  number in the order the exact engine hands out handle seqs, as in
+  virtual seq)``: each virtual *schedule* draws from the testbed's
+  counter in the order the exact engine hands out handle seqs, as in
   every :class:`~repro.sim.fluid.FluidTxFlow`.  A drop check on a tick
   the wire side already replayed must pass; if it does not,
   :class:`~repro.core.host.HorizonError` stops the run rather than let
@@ -53,12 +53,15 @@ The exactness contract is the same byte-identical-or-fallback one as
 the single-host flows, with the same measure-zero tie caveats plus
 two cluster-specific ones: equal-time egress records from different
 ports order by staging rather than engine seq, and handles re-created
-at decollapse draw fresh sequence numbers.
+at decollapse, though in replay order among themselves, draw fresh
+sequence numbers, so they run after any real event already pending at
+the same instant.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from itertools import islice
 from typing import Deque, List, Optional, Tuple
 
@@ -345,7 +348,6 @@ class FluidHostFlow(FluidTxFlow):
             self._ahead_bytes -= passed_ahead * stream.mtu
             self._t_next = tick_time + stream.burst_interval
             self._carry = carry
-            self._tick_created = tick_time
         else:
             (count,), (tick_time,) = self._next_ticks(self._t_next, True)
             passed_ahead = None
@@ -381,8 +383,7 @@ class FluidHostFlow(FluidTxFlow):
                 f"but the wire side certified {passed_ahead}")
         # The reschedule runs after the sink, so the next tick handle's
         # virtual seq postdates this tick's.
-        self._tick_cseq = self._cseq
-        self._cseq += 1
+        self._tick_seq = next(self._seqs)
 
     def _commit_deliveries(self, limit: float, inclusive: bool) -> None:
         """``Link._deliver`` for every frame on the line due by
@@ -415,19 +416,17 @@ class FluidHostFlow(FluidTxFlow):
             return
         self.host._evict_fluid()
 
-    def _finish_decollapse(self) -> None:
-        super()._finish_decollapse()
-        sim = self.sim
-        host = self.host
-        port = self.port
+    def _finish_decollapse(self) -> list:
+        pending = super()._finish_decollapse()
+        schedule_at = self.sim.schedule_at
         stream = self.stream
-        link = self._link
+        deliver = self._link._deliver
         pool = stream.pool
         # Frames the merged replay put on the line become real scheduled
-        # deliveries, in creation (= arrival) order so their new handle
-        # seqs preserve the exact run's relative order.  Frames of ticks
-        # replayed only on the wire side are the tail of the queue; the
-        # exact engine transmits those ticks again.
+        # deliveries.  Their handles predate any same-time tick, and
+        # nothing else on the port reads the line, so they sort first.
+        # Frames of ticks replayed only on the wire side are the tail of
+        # the queue; the exact engine transmits those ticks again.
         ahead = sum(tick[4] for tick in self._ticks)
         flight = self._flight
         for arrival, tick_time, was_queued in islice(
@@ -436,16 +435,15 @@ class FluidHostFlow(FluidTxFlow):
                                        stream.mtu, stream.vlan,
                                        stream.protocol, stream.flow_id,
                                        tick_time)
-            sim.schedule_at(arrival, link._deliver, burst[0], was_queued)
+            pending.append((arrival, -1, partial(
+                schedule_at, arrival, deliver, burst[0], was_queued)))
         for queue in (flight, self._egress_q, self._ticks, self._queued_at):
             queue.clear()
         self._ahead_bytes = 0
-        # Undelivered fabric arrivals go back to the engine as the
-        # _ingress events the exact advance would have scheduled.
-        shape = (None,) + self._rx_shape if self._rx_shape else None
-        due, _seqs, sends, counts = self._inbound
-        for arrival, created_at, count in zip(due, sends, counts):
-            sim.schedule_at(arrival, host._ingress, port, shape,
-                            created_at, count)
-        for column in self._inbound:
-            column.clear()
+        return pending
+
+    def _inbound_event(self, sent: float, frames: int) -> tuple:
+        # An undelivered fabric arrival: the _ingress event the exact
+        # advance scheduled.
+        return (self.host._ingress, self.port, (None,) + self._rx_shape,
+                sent, frames)

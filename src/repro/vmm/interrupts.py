@@ -55,7 +55,3 @@ class VectorAllocator:
     def handler(self, vector: int) -> Optional[Callable[[int], None]]:
         entry = self._owners.get(vector)
         return entry[1] if entry else None
-
-    @property
-    def allocated_count(self) -> int:
-        return len(self._owners)

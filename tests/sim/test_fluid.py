@@ -12,18 +12,25 @@ to the exact path.  These tests pin both halves:
 * the event identity ``events_executed + collapsed_events ==
   exact.events_executed`` (the collapse skips dispatch, never work);
 * exact fallbacks (faults, a sub-window ITR interval, a 2.6.18 guest,
-  a mid-run rate change, a mid-run joiner on a collapsed port) that
-  decollapse or never attach, with results still identical;
+  a mid-run rate change, a joiner started inside an event at a member's
+  tick instant) that decollapse or never attach, with results still
+  identical;
+* shared ports whose streams differ in rate or join mid-run, collapsed
+  and still identical (a property over generated joins and cuts);
 * the exact mode's own event stream is untouched (the golden digest of
   ``tests/sim/test_determinism.py`` stays the arbiter for that).
 """
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.api import Scenario, _dispatch
 from repro.core.costs import CostModel
 from repro.core.experiment import ExperimentRunner
 from repro.core.testbed import Testbed, TestbedConfig
+from repro.drivers.coalescing import AdaptiveCoalescing, FixedItr
 
 
 def _run(scenario: Scenario):
@@ -243,19 +250,58 @@ class TestSharedPortCollapse:
                      vm_count=2, ports=1, offered_bps=900e6,
                      warmup=0.05, duration=0.05))
 
-    def test_unequal_burst_intervals_evict(self):
-        # The merged-replay ordering proof needs phase-locked members;
-        # different rates mean different burst intervals, so the port
-        # falls back whole at the second stream's begin.
-        bed = Testbed(TestbedConfig(ports=1, sim_mode="fluid"))
-        g1 = bed.add_sriov_guest(name="vm0")
-        g2 = bed.add_sriov_guest(name="vm1")
-        s1 = bed.attach_client_to_sriov(g1, 900e6)
-        s2 = bed.attach_client_to_sriov(g2, 600e6)
-        s1.start()
-        s2.start()
-        assert all(not f.active for f in bed.fluid_flows)
-        assert bed.fluid_rejections.get("port_evicted")
+    def test_unequal_burst_intervals_collapse(self):
+        # Members merge by (time, virtual seq), so they need not tick
+        # on one grid: different rates mean different burst intervals.
+        def scenario(mode):
+            bed, guests, streams = _port_bed(mode, (900e6, 600e6))
+            for stream in streams:
+                stream.start()
+            bed.sim.run(until=0.02)
+            return bed, guests, streams
+        _assert_port_identity(scenario)
+
+    def test_joiner_inside_an_event_on_a_member_tick_evicts(self):
+        # The exact engine may run the member's tick at 0.0051 on either
+        # side of the event that starts the joiner, so the port falls
+        # back to exact, and still matches it.
+        def scenario(mode):
+            bed, guests, streams = _port_bed(mode, (950e6, 950e6))
+            streams[0].start()
+            bed.sim.schedule_at(0.0051, streams[1].start)
+            bed.sim.run(until=0.01)
+            return bed, guests, streams
+        _assert_port_identity(scenario, evicted=True)
+
+    def test_restart_beside_an_exact_peer_evicts(self):
+        # After a rate change the whole port runs exact; a stream that
+        # restarts must not collapse beside its still-exact peer.
+        def scenario(mode):
+            bed, guests, streams = _port_bed(mode, (900e6, 900e6))
+            for stream in streams:
+                stream.start()
+            bed.sim.run(until=0.0053)
+            streams[0].set_rate(800e6)
+            bed.sim.run(until=0.0071)
+            streams[0].stop()
+            bed.sim.run(until=0.0093)
+            streams[0].start()
+            bed.sim.run(until=0.02)
+            return bed, guests, streams
+        _assert_port_identity(scenario, evicted=True)
+
+    def test_member_that_cannot_begin_evicts_the_port(self):
+        # A busy vLAPIC keeps the second stream exact at its start, so
+        # the collapsed first stream must leave the fast path with it.
+        def scenario(mode):
+            bed, guests, streams = _port_bed(mode, (900e6, 900e6))
+            streams[0].start()
+            bed.sim.run(until=0.005)
+            guests[1].domain.lapic.tpr = 0xF0
+            streams[1].start()
+            bed.sim.run(until=0.02)
+            return bed, guests, streams
+        _assert_port_identity(scenario, evicted=True)
 
     def test_group_rate_change_decollapses_whole_port(self):
         def run(mode):
@@ -275,6 +321,107 @@ class TestSharedPortCollapse:
             return [_counters_snapshot(bed, g, s)
                     for g, s in zip(guests, streams)]
         assert run("fluid") == run("exact")
+
+
+def _port_bed(sim_mode, rates, aic=False):
+    """One port, one guest per rate; streams attached, not started."""
+    bed = Testbed(TestbedConfig(ports=1, sim_mode=sim_mode))
+    guests = [bed.add_sriov_guest(
+        name=f"vm{i}",
+        policy=AdaptiveCoalescing() if aic else FixedItr(2000))
+        for i in range(len(rates))]
+    streams = [bed.attach_client_to_sriov(guest, rate)
+               for guest, rate in zip(guests, rates)]
+    return bed, guests, streams
+
+
+def _assert_port_identity(scenario, evicted=False):
+    """Run ``scenario(mode) -> (bed, guests, streams)`` in both modes,
+    stop every stream and let the throttles drain: every counter must
+    match exact, the fluid run must have collapsed, and the port must
+    have been evicted exactly when ``evicted`` (None: either way)."""
+    snaps = {}
+    for mode in ("exact", "fluid"):
+        bed, guests, streams = scenario(mode)
+        for stream in streams:
+            stream.stop()
+        bed.sim.run(until=bed.sim.now + 0.005)
+        bed.settle_fluid()
+        snaps[mode] = [_counters_snapshot(bed, guest, stream)
+                       for guest, stream in zip(guests, streams)]
+    assert snaps["fluid"] == snaps["exact"]
+    assert bed.sim.collapsed_events > 0
+    if evicted is not None:
+        assert ("port_evicted" in bed.fluid_rejections) == evicted
+
+
+@st.composite
+def _shared_port_runs(draw):
+    """2-4 streams on one port, 600-960 Mb/s (both sides of the 100 us
+    burst floor), fixed 2 kHz or AIC.  Stream 0 starts at setup; the
+    others join on or off its tick grid, between runs or from an event
+    scheduled at setup; then one stream is stopped or retargeted."""
+    rates = draw(st.lists(st.integers(600, 960), min_size=2, max_size=4))
+    aic = draw(st.booleans())
+    instant = st.tuples(st.integers(5, 80), st.booleans(), st.booleans())
+    joins = draw(st.lists(instant, min_size=len(rates) - 1,
+                          max_size=len(rates) - 1))
+    cut = draw(st.tuples(st.integers(85, 100), st.booleans(), st.booleans(),
+                         st.integers(0, len(rates) - 1),
+                         st.sampled_from([None, 300e6, 800e6])))
+    return [rate * 1e6 for rate in rates], aic, joins, cut
+
+
+def _grid_time(interval, ticks, on_grid):
+    """Stream 0's ``ticks``-th tick instant (the float sum its
+    reschedule chain performs), or a point between two ticks."""
+    t = 0.0
+    for _ in range(ticks):
+        t = t + interval
+    return t if on_grid else t + 0.37 * interval
+
+
+class TestSharedPortProperty:
+    """Generated shared-port runs: joins and cuts anywhere, every
+    counter equal to exact once the streams have stopped."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(_shared_port_runs())
+    def test_shared_port_runs_match_exact(self, run):
+        rates, aic, joins, cut = run
+        cut_ticks, cut_on_grid, cut_in_event, victim, new_rate = cut
+
+        def scenario(mode):
+            bed, guests, streams = _port_bed(mode, rates, aic)
+            interval = streams[0].burst_interval
+            streams[0].start()
+
+            def do_cut():
+                if new_rate is None:
+                    streams[victim].stop()
+                else:
+                    streams[victim].set_rate(new_rate)
+            cut_at = _grid_time(interval, cut_ticks, cut_on_grid)
+            if cut_in_event:
+                bed.sim.schedule_at(cut_at, do_cut)
+            between = []
+            for stream, (ticks, on_grid, in_event) in zip(streams[1:], joins):
+                at = _grid_time(interval, ticks, on_grid)
+                if in_event:
+                    bed.sim.schedule_at(at, stream.start)
+                else:
+                    between.append((at, stream))
+            for at, stream in sorted(between, key=lambda join: join[0]):
+                bed.sim.run(until=at)
+                stream.start()
+            if not cut_in_event:
+                bed.sim.run(until=cut_at)
+                do_cut()
+            bed.sim.run(until=0.016)
+            return bed, guests, streams
+        # A join evicts the port when it ties a member's virtual event
+        # inside an event; whether one does depends on the draw.
+        _assert_port_identity(scenario, evicted=None)
 
 
 def _loopback_bed(sim_mode, sender="guest", offered_bps=5e9, mtu=1500):
@@ -370,6 +517,28 @@ class TestLoopbackCollapse:
             bed.settle_fluid()
             snaps[mode] = _loopback_snapshot(bed, receiver, stream, tx, dom)
         assert snaps["fluid"] == snaps["exact"]
+
+    def test_cut_between_runs_includes_events_at_now(self):
+        # run(until=T) executes the sender tick at T (a 100 us grid
+        # instant); the decollapse right after must replay it too.
+        for until in (0.005, 0.0051):
+            for sender in ("guest", "dom0"):
+                for cut in ("stop", "set_rate"):
+                    snaps = {}
+                    for mode in ("exact", "fluid"):
+                        bed, receiver, stream, tx, dom = _loopback_bed(
+                            mode, sender=sender)
+                        bed.sim.run(until=until)
+                        if cut == "stop":
+                            stream.stop()
+                        else:
+                            stream.set_rate(1e9)
+                        bed.sim.run(until=0.02)
+                        bed.settle_fluid()
+                        snaps[mode] = _loopback_snapshot(
+                            bed, receiver, stream, tx, dom)
+                    assert snaps["fluid"] == snaps["exact"], (until, sender,
+                                                              cut)
 
     def test_tx_rate_limit_never_attaches(self):
         from repro.sim.fluid import FluidLoopbackFlow
@@ -527,13 +696,13 @@ def _counters_snapshot(bed, guest, stream):
     }
 
 
-def _one_guest_bed(sim_mode):
+def _one_guest_bed(sim_mode, rate=900e6):
     # 900 Mb/s: fast enough that the flow passes the min-ticks-per-
     # window gate against the default 2 kHz throttle (slower rates
     # would silently stay exact and make the paired runs vacuous).
     bed = Testbed(TestbedConfig(ports=1, sim_mode=sim_mode))
     guest = bed.add_sriov_guest(name="vm0")
-    stream = bed.attach_client_to_sriov(guest, 900e6)
+    stream = bed.attach_client_to_sriov(guest, rate)
     stream.start()
     if sim_mode == "fluid":
         assert bed.fluid_flows and bed.fluid_flows[0].active
@@ -578,19 +747,60 @@ class TestDecollapse:
             snaps[mode] = _counters_snapshot(bed, guest, stream)
         assert snaps["fluid"] == snaps["exact"]
 
-    def test_second_stream_on_port_decollapses_first(self):
-        bed = Testbed(TestbedConfig(ports=1, sim_mode="fluid"))
-        first = bed.add_sriov_guest(name="vm0")
-        s1 = bed.attach_client_to_sriov(first, 900e6)
-        s1.start()
-        assert len(bed.fluid_flows) == 1
-        bed.sim.run(until=0.01)
-        second = bed.add_sriov_guest(name="vm1")
-        s2 = bed.attach_client_to_sriov(second, 900e6)
-        s2.start()
-        # The shared wire evicted the collapsed flow.
-        assert first.stream._fluid is None
-        assert all(not flow.active for flow in bed.fluid_flows)
+    def test_second_stream_on_port_joins_the_first(self):
+        # A stream started between runs joins the collapsed one: the
+        # member replays through now, then the joiner draws its seq.
+        def scenario(mode):
+            bed = Testbed(TestbedConfig(ports=1, sim_mode=mode))
+            first = bed.add_sriov_guest(name="vm0")
+            s1 = bed.attach_client_to_sriov(first, 900e6)
+            s1.start()
+            bed.sim.run(until=0.01)
+            second = bed.add_sriov_guest(name="vm1")
+            s2 = bed.attach_client_to_sriov(second, 900e6)
+            s2.start()
+            if mode == "fluid":
+                assert all(flow.active for flow in bed.fluid_flows)
+            bed.sim.run(until=0.02)
+            return bed, [first, second], [s1, s2]
+        _assert_port_identity(scenario)
+
+    def test_decollapse_keeps_a_tied_fire_before_its_tick(self):
+        # At 950 Mb/s (the 100 us burst floor) the 2 kHz throttle's
+        # fires fall on tick instants.  The exact run fires first (the
+        # older handle); the handles re-created at decollapse must keep
+        # that order.  At 900 Mb/s the ticks miss the ITR grid.
+        for k in range(40):
+            cut = 0.00503 + k * 0.000137
+            snaps = {}
+            for mode in ("exact", "fluid"):
+                bed, guest, stream = _one_guest_bed(mode, 950e6)
+                bed.sim.run(until=cut)
+                stream.set_rate(400e6)
+                bed.sim.run(until=0.02)
+                bed.settle_fluid()
+                snaps[mode] = _counters_snapshot(bed, guest, stream)
+            assert snaps["fluid"] == snaps["exact"], cut
+
+    def test_cut_between_runs_includes_events_at_now(self):
+        # run(until=T) executes every event at T, here a tick instant:
+        # settle and decollapse right after it must replay them too.
+        for until in (0.005, 0.0051):
+            for cut in ("stop", "set_rate", "driver_stop"):
+                snaps = {}
+                for mode in ("exact", "fluid"):
+                    bed, guest, stream = _one_guest_bed(mode, 950e6)
+                    bed.sim.run(until=until)
+                    if cut == "stop":
+                        stream.stop()
+                    elif cut == "set_rate":
+                        stream.set_rate(400e6)
+                    else:
+                        guest.driver.stop()
+                    bed.sim.run(until=0.02)
+                    bed.settle_fluid()
+                    snaps[mode] = _counters_snapshot(bed, guest, stream)
+                assert snaps["fluid"] == snaps["exact"], (until, cut)
 
     def test_decollapse_materializes_pending_packets(self):
         bed, guest, stream = _one_guest_bed("fluid")
