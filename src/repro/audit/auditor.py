@@ -13,7 +13,7 @@ tests), never noise.  The audited laws:
   accounted exactly once: ``rx_offered == rx_packets +
   rx_no_desc_drops + rx_dma_faults + rx_corrupt_drops``.
 * **descriptor-ring** — ownership partition on every enabled
-  function's rings: cursors in range, the cursor-order identity
+  function's RX ring: cursors in range, the cursor-order identity
   ``device_owned + pending_completions == posted_window``, and the
   done-bit window — a slot's ``done`` writeback is set *iff* its index
   lies in ``[_clean, head)``.
@@ -232,9 +232,8 @@ class InvariantAuditor:
     def _check_rings(self, phase: str) -> None:
         for port, fn in self._net_functions():
             if not fn.enabled:
-                continue  # a reset/disabled function's rings are in flux
-            for ring in (fn.rx_ring, fn.tx_ring):
-                self._check_one_ring(fn.name, ring)
+                continue  # a reset/disabled function's ring is in flux
+            self._check_one_ring(fn.name, fn.rx_ring)
 
     def _check_one_ring(self, owner: str, ring) -> None:
         size = ring.size
@@ -261,17 +260,23 @@ class InvariantAuditor:
                         "device_owned": device_owned,
                         "pending_completions": pending,
                         "posted_window": window})
-        for index, slot in enumerate(ring.slots):
-            in_window = (index - clean) % size < pending
-            if slot.done != in_window:
-                expected = "set" if in_window else "clear"
-                self._fail("descriptor-ring",
-                           f"{owner}/{ring.name}: slot {index} done bit "
-                           f"should be {expected} (clean={clean}, "
-                           f"head={head}, tail={tail})",
-                           {"ring": ring.name, "owner": owner,
-                            "slot": index, "done": slot.done,
-                            "head": head, "tail": tail, "clean": clean})
+        # DD bits are set exactly on the completions awaiting cleanup,
+        # [clean, head): one comparison, and a walk only to name the
+        # first slot that breaks it.
+        expected = bytearray(size)
+        for start, stop in ring.runs(clean, pending):
+            expected[start:stop] = b"\x01" * (stop - start)
+        if ring.done != expected:
+            index = next(i for i in range(size)
+                         if ring.done[i] != expected[i])
+            state = "set" if expected[index] else "clear"
+            self._fail("descriptor-ring",
+                       f"{owner}/{ring.name}: slot {index} done bit "
+                       f"should be {state} (clean={clean}, "
+                       f"head={head}, tail={tail})",
+                       {"ring": ring.name, "owner": owner,
+                        "slot": index, "done": bool(ring.done[index]),
+                        "head": head, "tail": tail, "clean": clean})
 
     def _check_lapics(self, phase: str) -> None:
         reserved = (1 << FIRST_USABLE_VECTOR) - 1

@@ -7,9 +7,10 @@ model is register-level where the architecture depends on it:
 
 * the PF carries a full config space with MSI-X and the SR-IOV extended
   capability; VFs carry trimmed spaces that do not answer bus scans;
-* each function owns RX/TX descriptor rings ("performance critical
+* each function owns an RX descriptor ring ("performance critical
   resources ... duplicated per VF", §4.1) and an interrupt-throttle
-  (ITR) register;
+  (ITR) register; transmit DMA is booked on the PCIe data path
+  (:meth:`Igb82576Port.route_transmit`), not through a TX ring;
 * the on-chip L2 switch classifies by (MAC, VLAN) and loops inter-VF
   traffic internally — each internal packet costs *two* crossings of the
   PCIe data path, which is what caps inter-VM throughput (§6.3);
@@ -120,7 +121,6 @@ class _NetFunction:
         self.function_index = function_index
         self.pci = pci
         self.rx_ring = DescriptorRing(DEFAULT_RING_SIZE, f"{name}.rx")
-        self.tx_ring = DescriptorRing(DEFAULT_RING_SIZE, f"{name}.tx")
         self.msix = MsixCapability(MSIX_TABLE_SIZE, self._post_msi)
         self.throttle = InterruptThrottle(sim, self._raise_rxtx)
         #: §4.3 policy knobs, set by the PF driver.  ``tx_rate_limit_bps``
@@ -192,7 +192,9 @@ class _NetFunction:
         # batched update per burst.  Counter totals and per-packet
         # accept/drop decisions match walking the burst one by one.
         ring = self.rx_ring
-        slots = ring.slots
+        buffer_addr = ring.buffer_addr
+        done = ring.done
+        packets = ring.packets
         mask = ring._mask
         head = ring.head
         tail = ring.tail
@@ -213,17 +215,16 @@ class _NetFunction:
             if head == tail:
                 no_desc += 1
                 continue
-            slot = slots[head]
             if no_context:
                 faults += 1
                 continue
             if lookup is not None:
-                entry = lookup(slot.buffer_addr >> 12)
+                entry = lookup(buffer_addr[head] >> 12)
                 if entry is None or not entry[1]:
                     faults += 1
                     continue
-            slot.done = True
-            slot.packet = packet
+            done[head] = 1
+            packets[head] = packet
             head = (head + 1) & mask
             accepted += 1
             rx_bytes += packet.size_bytes
@@ -307,15 +308,14 @@ class _NetFunction:
         return self.pci.rid
 
     def reset(self) -> None:
-        """Function-level reset: rings cleared, interrupts quiesced."""
+        """Function-level reset: ring cleared, interrupts quiesced."""
         self.rx_ring.reset()
-        self.tx_ring.reset()
         self.throttle.cancel()
         self.enabled = False
 
 
 class VirtualFunction(_NetFunction):
-    """A VF: trimmed config space, dedicated rings, mailbox to the PF."""
+    """A VF: trimmed config space, dedicated RX ring, mailbox to the PF."""
 
     def __init__(self, sim: Simulator, port: "Igb82576Port", index: int):
         config = ConfigSpace(INTEL_VENDOR_ID, IGB_VF_DEVICE_ID)

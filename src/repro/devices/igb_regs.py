@@ -88,10 +88,8 @@ def build_pf_registers(port, ra_entries: int = RECEIVE_ADDRESS_ENTRIES) -> Regis
         if new & CTRL_RST:
             # Global device reset: all functions lose their rings.
             port.pf.rx_ring.reset()
-            port.pf.tx_ring.reset()
             for vf in port.vfs:
                 vf.rx_ring.reset()
-                vf.tx_ring.reset()
             # RST self-clears.
             regs.poke("CTRL", new & ~CTRL_RST)
 

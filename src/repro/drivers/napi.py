@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.hw.dma import Descriptor, DescriptorRing
+from repro.hw.dma import DescriptorRing
+from repro.net.packet import Packet
 
 #: Linux's default NAPI budget.
 DEFAULT_BUDGET = 64
@@ -27,8 +28,9 @@ class NapiContext:
         self.packets = 0
         self.exhausted_polls = 0  # polls that used the whole budget
 
-    def poll(self, ring: DescriptorRing) -> List[Descriptor]:
-        """One poll invocation: reap at most ``budget`` descriptors."""
+    def poll(self, ring: DescriptorRing) -> List[Packet]:
+        """One poll invocation: reap at most ``budget`` descriptors and
+        return their packets."""
         reaped = ring.reap(limit=self.budget)
         count = len(reaped)
         self.account(1, count, count // self.budget)
@@ -41,9 +43,9 @@ class NapiContext:
         self.packets += packets
         self.exhausted_polls += exhausted
 
-    def poll_all(self, ring: DescriptorRing) -> List[Descriptor]:
+    def poll_all(self, ring: DescriptorRing) -> List[Packet]:
         """Poll until the ring is clean (the softirq re-queue loop)."""
-        collected: List[Descriptor] = []
+        collected: List[Packet] = []
         while True:
             chunk = self.poll(ring)
             collected.extend(chunk)

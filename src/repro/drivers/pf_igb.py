@@ -230,8 +230,7 @@ class PfDriver:
 
     def _pf_isr(self, vector: int) -> None:
         self.dom0.charge_guest(self.costs.guest_cycles_per_interrupt)
-        descriptors = self.napi.poll_all(self.port.pf.rx_ring)
-        packets = [d.packet for d in descriptors if d.packet is not None]
+        packets = self.napi.poll_all(self.port.pf.rx_ring)
         self._refill_pf_ring()
         if packets:
             self.app.deliver(packets, self.sim.now)
@@ -248,6 +247,5 @@ class PfDriver:
         self._refill_pf_ring()
 
     def _refill_pf_ring(self) -> None:
-        ring = self.port.pf.rx_ring
-        while not ring.full:
-            ring.post(PF_RX_POOL_BASE + ring.tail * 4096, RX_BUFFER_BYTES)
+        self.port.pf.rx_ring.post_until_full(PF_RX_POOL_BASE, 4096,
+                                             RX_BUFFER_BYTES)

@@ -152,7 +152,8 @@ class VfDriver:
     # transmit (inter-VM experiments and TX workloads)
     # ------------------------------------------------------------------
     def transmit(self, burst: List[Packet]) -> int:
-        """Post a burst to the TX ring and kick the device."""
+        """Hand a burst to the device's transmit path (its DMA is booked
+        on the PCIe data path)."""
         if not self.running:
             return 0
         self.domain.charge_guest(self.costs.guest_cycles_per_packet * len(burst))
@@ -177,8 +178,7 @@ class VfDriver:
             # 2.6.18 masks the vector at the top of the handler (§5.1).
             self.platform.device_model(self.domain).emulate_msix_mask_write(True)
         ring = self.vf.rx_ring
-        descriptors = self.napi.poll_all(ring)
-        packets = [d.packet for d in descriptors if d.packet is not None]
+        packets = self.napi.poll_all(ring)
         # Steady-state refill: buffers were programmed at probe time
         # and the slot-to-buffer mapping is fixed, so only ownership
         # moves.

@@ -12,18 +12,19 @@ These models carry the state the paper's architecture manipulates:
 * :mod:`repro.hw.iommu` — RID-indexed DMA remapping and protection.
 * :mod:`repro.hw.pcie` — configuration space, SR-IOV extended capability,
   bus topology with ACS, and a bandwidth-shared PCIe data path.
-* :mod:`repro.hw.dma` — descriptor rings as drivers and NICs see them.
+* :mod:`repro.hw.dma` — descriptor rings as drivers and NICs see them:
+  per-ring slot arrays (buffer address, length, DD bit, packet) with
+  slice-based bulk reap and rearm.
 """
 
 from repro.hw.cpu import CpuCore, Executor, Machine
-from repro.hw.dma import Descriptor, DescriptorRing, RingFullError
+from repro.hw.dma import DescriptorRing, RingFullError
 from repro.hw.iommu import Iommu, IommuFault, IoPageTable, PAGE_SIZE
 from repro.hw.lapic import Lapic, LapicError
 from repro.hw.msi import MsiMessage, MsixCapability
 
 __all__ = [
     "CpuCore",
-    "Descriptor",
     "DescriptorRing",
     "Executor",
     "Iommu",

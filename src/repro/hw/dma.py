@@ -10,26 +10,13 @@ safe).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.net.packet import Packet
 
 
 class RingFullError(RuntimeError):
     """Driver tried to post into a ring with no free descriptors."""
-
-
-@dataclass
-class Descriptor:
-    """One ring slot: a buffer address plus completion status."""
-
-    buffer_addr: int = 0
-    buffer_len: int = 0
-    #: Device "descriptor done" writeback.
-    done: bool = False
-    #: The packet the device placed (RX) or the driver posted (TX).
-    packet: Optional[Packet] = None
 
 
 class DescriptorRing:
@@ -39,6 +26,14 @@ class DescriptorRing:
     *device*; the entry at ``tail`` is where software posts next.  The
     ring is full when advancing tail would make it collide with head —
     one slot is always left unused, as on real hardware.
+
+    Slot state lives in parallel per-ring arrays, not one object per
+    slot, so the bulk driver operations are slice writes over at most
+    two runs split at the wrap (:meth:`runs`).  Slot ``i`` is
+    ``buffer_addr[i]``/``buffer_len[i]`` (the driver's programming),
+    ``done[i]`` (the device's "descriptor done" write-back bit) and
+    ``packets[i]`` (the packet the device placed, RX, or the driver
+    posted, TX).
     """
 
     def __init__(self, size: int, name: str = ""):
@@ -47,12 +42,23 @@ class DescriptorRing:
         self.size = size
         self.name = name
         self._mask = size - 1  # size is a power of two
-        self.slots = [Descriptor() for _ in range(size)]
+        self.buffer_addr: List[int] = [0] * size
+        self.buffer_len: List[int] = [0] * size
+        self.done = bytearray(size)
+        self.packets: List[Optional[Packet]] = [None] * size
         self.head = 0  # device-owned consumption point
         self.tail = 0  # software production point
         self._clean = 0  # driver cleanup cursor, trails head
         self.posted = 0
         self.completed = 0
+
+    def runs(self, start: int, count: int) -> Tuple[Tuple[int, int], ...]:
+        """The ``count`` slots from ``start`` on, as at most two
+        ``(begin, end)`` slice bounds split at the wrap."""
+        end = start + count
+        if end <= self.size:
+            return ((start, end),)
+        return ((start, self.size), (0, end - self.size))
 
     # ------------------------------------------------------------------
     # occupancy
@@ -84,75 +90,83 @@ class DescriptorRing:
         if self.full:
             raise RingFullError(f"ring {self.name!r} is full")
         index = self.tail
-        slot = self.slots[index]
-        slot.buffer_addr = buffer_addr
-        slot.buffer_len = buffer_len
-        slot.done = False
-        slot.packet = packet
-        self.tail = (self.tail + 1) % self.size
+        self.buffer_addr[index] = buffer_addr
+        self.buffer_len[index] = buffer_len
+        self.done[index] = 0
+        self.packets[index] = packet
+        self.tail = (index + 1) & self._mask
         self.posted += 1
         return index
 
-    def reap(self, limit: Optional[int] = None) -> List[Descriptor]:
-        """Collect completed descriptors in order (driver cleanup path).
+    def reap(self, limit: Optional[int] = None) -> List[Optional[Packet]]:
+        """Collect completed descriptors' packets in order (driver
+        cleanup path).
 
-        Walks from the oldest software-visible slot and stops at the first
-        descriptor the device has not written back yet.
+        Takes the run of set DD bits from the oldest software-visible
+        slot, at most ``limit`` long, up to the first descriptor the
+        device has not written back yet; clears the run's bits and
+        returns its packets.  The ring keeps its packet references until
+        the slots are re-posted.
         """
-        reaped: List[Descriptor] = []
-        append = reaped.append
-        budget = self.size if limit is None else limit
-        slots = self.slots
-        mask = self._mask
-        index = self._clean
-        while budget > 0:
-            slot = slots[index]
-            if not slot.done:
-                break
-            append(slot)
-            slot.done = False
-            index = (index + 1) & mask
-            budget -= 1
-        self._clean = index
+        size = self.size
+        budget = size if limit is None else min(limit, size)
+        if budget <= 0:
+            return []
+        done = self.done
+        packets = self.packets
+        clean = self._clean
+        end = clean + budget
+        first = end if end < size else size
+        stop = done.find(0, clean, first)
+        if stop < 0:
+            stop = first
+        reaped = packets[clean:stop]
+        done[clean:stop] = bytes(stop - clean)
+        if stop == size and end > size:
+            # The run reaches the wrap: it continues from slot 0.
+            stop = done.find(0, 0, end - size)
+            if stop < 0:
+                stop = end - size
+            reaped += packets[:stop]
+            done[:stop] = bytes(stop)
+        self._clean = stop & self._mask
         return reaped
 
     def program_buffers(self, base_addr: int, stride: int,
                         buffer_len: int) -> None:
         """Write the fixed slot-to-buffer mapping into every slot.
 
-        Slot ``i`` gets buffer ``base_addr + i * stride``.  Drivers call
-        this once at probe time; afterwards :meth:`rearm_until_full`
-        can re-post slots without touching their programming.  Covers
-        all ``size`` slots — including the one :meth:`post_until_full`
-        leaves reserved on a full fill, which otherwise would reach the
-        device unprogrammed once the ring rotates.
+        Slot ``i`` gets buffer ``base_addr + i * stride`` (``stride``
+        non-zero).  Drivers call this once at probe time; afterwards
+        :meth:`rearm_until_full` can re-post slots without touching
+        their programming.  Covers all ``size`` slots — including the
+        one :meth:`post_until_full` leaves reserved on a full fill,
+        which otherwise would reach the device unprogrammed once the
+        ring rotates.
         """
-        for index, slot in enumerate(self.slots):
-            slot.buffer_addr = base_addr + index * stride
-            slot.buffer_len = buffer_len
+        size = self.size
+        self.buffer_addr[:] = range(base_addr, base_addr + size * stride,
+                                    stride)
+        self.buffer_len[:] = [buffer_len] * size
 
     def post_until_full(self, base_addr: int, stride: int,
                         buffer_len: int) -> int:
         """Post empty buffers at tail until the ring is full (RX refill).
 
         Slot ``i`` gets buffer ``base_addr + i * stride`` — the fixed
-        slot-to-buffer mapping RX drivers use — so a refill is pure
-        cursor arithmetic instead of one :meth:`post` call per slot.
+        slot-to-buffer mapping RX drivers use — so a refill is a few
+        slice writes instead of one :meth:`post` call per slot.
         Returns the number of descriptors posted.
         """
-        size = self.size
-        mask = self._mask
-        slots = self.slots
-        tail = self.tail
-        count = size - 1 - ((tail - self.head) % size)
-        for _ in range(count):
-            slot = slots[tail]
-            slot.buffer_addr = base_addr + tail * stride
-            slot.buffer_len = buffer_len
-            slot.done = False
-            slot.packet = None
-            tail = (tail + 1) & mask
-        self.tail = tail
+        count = self.free
+        for start, stop in self.runs(self.tail, count):
+            width = stop - start
+            self.buffer_addr[start:stop] = range(
+                base_addr + start * stride, base_addr + stop * stride, stride)
+            self.buffer_len[start:stop] = [buffer_len] * width
+            self.done[start:stop] = bytes(width)
+            self.packets[start:stop] = [None] * width
+        self.tail = (self.tail + count) & self._mask
         self.posted += count
         return count
 
@@ -165,38 +179,34 @@ class DescriptorRing:
         ``done`` — so re-posting only moves ownership and drops the
         consumed packet references.  Returns the number posted.
         """
-        size = self.size
-        mask = self._mask
-        slots = self.slots
-        tail = self.tail
-        count = size - 1 - ((tail - self.head) % size)
-        for _ in range(count):
-            slots[tail].packet = None
-            tail = (tail + 1) & mask
-        self.tail = tail
+        count = self.free
+        packets = self.packets
+        for start, stop in self.runs(self.tail, count):
+            packets[start:stop] = [None] * (stop - start)
+        self.tail = (self.tail + count) & self._mask
         self.posted += count
         return count
 
     # ------------------------------------------------------------------
     # device side
     # ------------------------------------------------------------------
-    def consume(self, packet: Optional[Packet] = None) -> Optional[Descriptor]:
-        """Device takes the descriptor at head and completes it."""
-        if self.empty:
+    def consume(self, packet: Optional[Packet] = None) -> Optional[int]:
+        """Device takes the descriptor at head and completes it; returns
+        its slot index, or ``None`` when no descriptor is posted."""
+        index = self.head
+        if index == self.tail:
             return None
-        slot = self.slots[self.head]
-        slot.done = True
+        self.done[index] = 1
         if packet is not None:
-            slot.packet = packet
-        self.head = (self.head + 1) % self.size
+            self.packets[index] = packet
+        self.head = (index + 1) & self._mask
         self.completed += 1
-        return slot
+        return index
 
     def reset(self) -> None:
         """Device reset: everything returns to software, state cleared."""
         self.head = 0
         self.tail = 0
         self._clean = 0
-        for slot in self.slots:
-            slot.done = False
-            slot.packet = None
+        self.done[:] = bytes(self.size)
+        self.packets[:] = [None] * self.size

@@ -343,7 +343,7 @@ class FluidFlow:
             return False
         if (ring.tail - ring.head) % size != size - 1:
             return False
-        if any(slot.done for slot in ring.slots):
+        if any(ring.done):
             return False
         iommu = self.port.iommu
         if iommu is not None:
@@ -351,8 +351,8 @@ class FluidFlow:
             if table is None:
                 return False
             lookup = table._entries.get
-            for slot in ring.slots:
-                entry = lookup(slot.buffer_addr >> 12)
+            for addr in ring.buffer_addr:
+                entry = lookup(addr >> 12)
                 if entry is None or not entry[1]:
                     return False
         return True

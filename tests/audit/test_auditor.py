@@ -95,10 +95,26 @@ class TestSeededViolations:
         guest = bed.add_sriov_guest()
         # A done writeback outside the [clean, head) completion window
         # claims ownership the device never granted.
-        guest.vf.rx_ring.slots[0].done = True
+        guest.vf.rx_ring.done[0] = 1
         with pytest.raises(InvariantViolation) as excinfo:
             bed.auditor.audit()
         assert excinfo.value.check == "descriptor-ring"
+
+    def test_cleared_done_bit_inside_window_is_caught(self, tmp_path):
+        bed = _bed(tmp_path)
+        guest = bed.add_sriov_guest()
+        ring = guest.vf.rx_ring
+        for _ in range(3):
+            ring.consume()
+        bed.auditor.audit()  # three completions awaiting cleanup: sound
+        # A completion in [clean, head) lost its done writeback: the
+        # driver's reap would stop there and strand the slots behind it.
+        ring.done[1] = 0
+        with pytest.raises(InvariantViolation) as excinfo:
+            bed.auditor.audit()
+        assert excinfo.value.check == "descriptor-ring"
+        assert excinfo.value.details["slot"] == 1
+        assert excinfo.value.details["done"] is False
 
     def test_reserved_lapic_vector_is_caught(self, tmp_path):
         bed = _bed(tmp_path)

@@ -39,10 +39,10 @@ def test_device_consume_advances_head_and_sets_done():
     ring = DescriptorRing(8)
     ring.post(0x1000, 2048)
     packet = Packet(src=SRC, dst=DST)
-    slot = ring.consume(packet)
-    assert slot is not None
-    assert slot.done
-    assert slot.packet is packet
+    index = ring.consume(packet)
+    assert index == 0
+    assert ring.done[index]
+    assert ring.packets[index] is packet
     assert ring.head == 1
     assert ring.device_owned == 0
 
@@ -55,11 +55,15 @@ def test_reap_returns_completed_in_order():
     ring = DescriptorRing(8)
     for i in range(4):
         ring.post(0x1000 * i, 2048)
-    ring.consume()
-    ring.consume()
+    packets = [Packet(src=SRC, dst=DST) for _ in range(2)]
+    for packet in packets:
+        ring.consume(packet)
     reaped = ring.reap()
     assert len(reaped) == 2
-    assert [d.buffer_addr for d in reaped] == [0x0, 0x1000]
+    # Slot 0's packet (buffer 0x0) first, then slot 1's (0x1000).
+    assert all(got is want for got, want in zip(reaped, packets))
+    assert ring.buffer_addr[:2] == [0x0, 0x1000]
+    assert not any(ring.done)
     # Second reap finds nothing new.
     assert ring.reap() == []
 

@@ -42,10 +42,10 @@ class RingMachine(RuleBasedStateMachine):
 
     @rule()
     def consume(self):
-        slot = self.ring.consume()
-        if slot is not None:
+        index = self.ring.consume()
+        if index is not None:
             self.consumed += 1
-            assert slot.done
+            assert self.ring.done[index]
 
     @rule(limit=st.integers(min_value=0, max_value=20))
     def reap(self, limit):

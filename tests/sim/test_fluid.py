@@ -813,9 +813,9 @@ class TestDecollapse:
         # The ticks since the last virtual fire replayed as real ring
         # occupancy: undrained packets sit in device-completed slots,
         # exactly where the exact run would have them.
-        occupied = sum(1 for slot in ring.slots if slot.packet is not None)
+        occupied = sum(1 for packet in ring.packets if packet is not None)
         assert occupied > 0
-        assert occupied == sum(1 for slot in ring.slots if slot.done)
+        assert occupied == sum(ring.done)
         # Bookkeeping stayed consistent: completions count only what
         # the device actually wrote back so far.
         assert ring.completed == guest.vf.rx_packets
