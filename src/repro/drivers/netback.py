@@ -112,11 +112,8 @@ class Netback:
                                  packets=len(burst))
 
         def complete() -> None:
-            for packet in burst:
-                ref = netfront.grant_table.grant_access(self.dom0.id, packet.seq)
-                netfront.grant_table.grant_copy(ref, self.dom0.id,
-                                                packet.size_bytes)
-                netfront.grant_table.end_access(ref)
+            netfront.grant_table.copy_burst(
+                self.dom0.id, [packet.size_bytes for packet in burst])
             self.delivered_packets += len(burst)
             netfront.receive_burst(burst)
 

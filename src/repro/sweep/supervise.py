@@ -34,7 +34,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import os
 import random
+import signal
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -258,6 +261,7 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
         respawns += 1
         executor = ProcessPoolExecutor(max_workers=width)
 
+    restore_sigterm = _shutdown_on_sigterm(lambda: executor)
     try:
         while pending or inflight or backoff:
             now = time.monotonic()
@@ -328,9 +332,40 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
             respawn_pool()
     finally:
         _shutdown_pool(executor)
+        restore_sigterm()
     return results, outcomes, SuperviseStats.of(
         list(outcomes.values()), respawns,
         wall_s=time.monotonic() - started, peak_workers=peak_workers)
+
+
+def _shutdown_on_sigterm(
+        pool: Callable[[], ProcessPoolExecutor]) -> Callable[[], None]:
+    """Make a SIGTERM shut ``pool()`` down, then end us as before.
+
+    Python's default SIGTERM action ends the process without unwinding,
+    so ``_run_pool``'s ``finally`` never runs and the pool's workers
+    outlive the campaign.  The handler shuts the pool down, restores
+    the previous handler and re-raises the signal: the exit status and
+    whatever the campaign wrote (checkpoint, journal) stay as they
+    were.  Forked workers inherit the handler; in them it only
+    re-raises.  Returns the call that restores the previous handler.
+    Nothing is installed off the main thread, or when SIGTERM is
+    ignored or handled outside Python.
+    """
+    previous = signal.getsignal(signal.SIGTERM)
+    if (threading.current_thread() is not threading.main_thread()
+            or previous in (None, signal.SIG_IGN)):
+        return lambda: None
+    owner = os.getpid()
+
+    def on_sigterm(signum, frame) -> None:
+        if os.getpid() == owner:
+            _shutdown_pool(pool())
+        signal.signal(signal.SIGTERM, previous)
+        signal.raise_signal(signal.SIGTERM)
+
+    signal.signal(signal.SIGTERM, on_sigterm)
+    return lambda: signal.signal(signal.SIGTERM, previous)
 
 
 def _shutdown_pool(executor: ProcessPoolExecutor) -> None:

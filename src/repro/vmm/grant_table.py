@@ -5,13 +5,20 @@ grants: the frontend grants the backend access to (or a copy of) a page,
 identified by a grant reference.  The copy variant — ``grant_copy`` — is
 the per-packet work that saturates netback and gives the PV NIC its
 "extra data copy" overhead (§1, §6.5).
+
+Real netback does not make one hypercall per packet: it queues a
+batch's copies and issues them as one ``GNTTABOP_copy``.
+:meth:`GrantTable.copy_burst` models that batch.  It books exactly what
+granting, copying and revoking each packet in turn would, without
+building the transient grants.  The per-op calls stay for callers that
+hold a grant across operations, and as the reference the batch matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict
+from typing import Dict, Sequence
 
 
 class GrantError(RuntimeError):
@@ -77,8 +84,8 @@ class GrantTable:
                    write: bool = True) -> None:
         """Hypervisor-mediated copy into/out of the granted frame.
 
-        This is netback's per-packet operation; callers charge its CPU
-        cost separately via the cost model.
+        Callers charge its CPU cost separately via the cost model;
+        netback batches its per-packet copies through :meth:`copy_burst`.
         """
         grant = self._lookup(ref)
         if grant.grantee_domain != grantee_domain:
@@ -89,6 +96,20 @@ class GrantTable:
             raise ValueError("copy size must be non-negative")
         self.copies += 1
         self.copied_bytes += size_bytes
+
+    def copy_burst(self, grantee_domain: int, sizes: Sequence[int]) -> None:
+        """One batched copy to ``grantee_domain`` of a packet per size.
+
+        Leaves the table as ``grant_access`` → ``grant_copy`` →
+        ``end_access`` per size would: one ref consumed and one copy
+        booked per packet, no grant left active.  A negative size is
+        rejected before anything is booked.
+        """
+        if sizes and min(sizes) < 0:
+            raise ValueError("copy size must be non-negative")
+        self._next_ref += len(sizes)
+        self.copies += len(sizes)
+        self.copied_bytes += sum(sizes)
 
     def active_grants(self) -> int:
         return len(self._grants)

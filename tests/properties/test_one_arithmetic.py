@@ -10,12 +10,16 @@ app's latency sums and bins.
 
 ``NetserverApp.deliver`` groups a burst into runs of equal send time,
 size and protocol; :func:`_reference_deliver` keeps the per-packet loop
-it replaced as the reference it must match bit for bit.
+it replaced as the reference it must match bit for bit.  Likewise one
+``GrantTable.copy_burst`` must leave a grant table as granting, copying
+and revoking each packet in turn does.
 """
 
+import copy
 import math
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +35,7 @@ from repro.net.packet import (IP_HEADER_BYTES, Packet, Protocol,
                               TCP_HEADER_BYTES, UDP_HEADER_BYTES)
 from repro.sim.engine import Simulator
 from repro.vmm.domain import DomainKind
+from repro.vmm.grant_table import GrantError, GrantTable
 from repro.vmm.hypervisor import Xen
 
 cycles = st.integers(min_value=1, max_value=60_000).map(float)
@@ -322,3 +327,81 @@ def test_fluid_window_delivers_like_one_exact_isr_per_fire(fires, size,
                                    run_times, size, protocol)
     assert accepted == exact.rx_packets
     assert _app_books(fluid) == _app_books(exact)
+
+
+# ----------------------------------------------------------------------
+# grant copies: one batch per netback burst
+# ----------------------------------------------------------------------
+_GRANTEE = 0
+copy_sizes = st.lists(st.integers(min_value=0, max_value=9000), max_size=12)
+live_index = st.integers(min_value=0, max_value=7)
+grant_ops = st.one_of(
+    st.tuples(st.just("access"), st.integers(min_value=0, max_value=2**20),
+              st.booleans()),
+    st.tuples(st.just("map"), live_index),
+    st.tuples(st.just("unmap"), live_index),
+    st.tuples(st.just("copy"), live_index,
+              st.integers(min_value=0, max_value=9000), st.booleans()),
+    st.tuples(st.just("end"), live_index),
+    st.tuples(st.just("burst"), copy_sizes),
+    st.tuples(st.just("bad burst"), copy_sizes,
+              st.integers(min_value=-9000, max_value=-1),
+              st.integers(min_value=0, max_value=12)),
+)
+
+
+def _grant_books(table):
+    return (table._next_ref, table.copies, table.copied_bytes,
+            table.active_grants(), table._grants)
+
+
+def _on_both(tables, call):
+    """``call`` on each table; both must return or refuse alike."""
+    outcomes = []
+    for table in tables:
+        try:
+            outcomes.append(("ok", call(table)))
+        except GrantError as exc:
+            outcomes.append(("refused", str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@given(st.lists(grant_ops, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_copy_burst_matches_the_per_op_loop(script):
+    batched, reference = tables = GrantTable(1), GrantTable(1)
+    live = []  # refs granted and not yet revoked, equal in both tables
+    for op, *args in script:
+        if op == "access":
+            frame, readonly = args
+            _, ref = _on_both(tables, lambda t: t.grant_access(
+                _GRANTEE, frame, readonly))
+            live.append(ref)
+        elif op == "burst":
+            sizes, = args
+            batched.copy_burst(_GRANTEE, sizes)
+            for size in sizes:
+                ref = reference.grant_access(_GRANTEE, frame=size)
+                reference.grant_copy(ref, _GRANTEE, size)
+                reference.end_access(ref)
+        elif op == "bad burst":
+            sizes, negative, at = args
+            before = copy.deepcopy(vars(batched))
+            with pytest.raises(ValueError):
+                batched.copy_burst(_GRANTEE,
+                                   sizes[:at] + [negative] + sizes[at:])
+            assert vars(batched) == before
+        elif live:
+            ref = live[args[0] % len(live)]
+            if op == "map":
+                _on_both(tables, lambda t: t.map_grant(ref, _GRANTEE))
+            elif op == "unmap":
+                _on_both(tables, lambda t: t.unmap_grant(ref))
+            elif op == "copy":
+                size, write = args[1:]
+                _on_both(tables, lambda t: t.grant_copy(
+                    ref, _GRANTEE, size, write=write))
+            elif _on_both(tables, lambda t: t.end_access(ref))[0] == "ok":
+                live.remove(ref)
+        assert _grant_books(batched) == _grant_books(reference)

@@ -148,6 +148,33 @@ def _env():
     return env
 
 
+def _stat_fields(pid):
+    """The /proc stat fields after the command name, or None if gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None
+    # The command name in field 2 may hold spaces: split after it.
+    return stat.rsplit(")", 1)[1].split()
+
+
+def _children(pid):
+    """Pids whose parent is ``pid``."""
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            fields = _stat_fields(entry.name)
+            if fields is not None and int(fields[1]) == pid:
+                kids.append(int(entry.name))
+    return kids
+
+
+def _alive(pid):
+    """Running, not merely a zombie awaiting its reaper."""
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] != "Z"
+
+
 @pytest.mark.slow
 def test_sigterm_then_resume_is_byte_identical(tmp_path):
     """Kill a figure campaign mid-flight; resume must finish it with
@@ -156,8 +183,9 @@ def test_sigterm_then_resume_is_byte_identical(tmp_path):
     ck = tmp_path / "ck.json"
     out_a = tmp_path / "out-interrupted"
     cache_a = tmp_path / "cache-a"
-    # DEVNULL, not PIPE: orphaned pool workers inherit the pipe and
-    # would keep it open past the parent's death, wedging a reader.
+    # DEVNULL, not PIPE: should pool workers ever outlive the parent
+    # again, a pipe they inherited would stay open and wedge a reader
+    # instead of failing the worker check below.
     process = subprocess.Popen(
         _figures_cmd(out_a, cache_a, ["--checkpoint", str(ck)]),
         cwd=REPO, env=_env(), stdout=subprocess.DEVNULL,
@@ -173,9 +201,19 @@ def test_sigterm_then_resume_is_byte_identical(tmp_path):
             if done >= 1:
                 break
         time.sleep(0.05)
+    workers = []
     if process.poll() is None:
+        workers = _children(process.pid)
         process.send_signal(signal.SIGTERM)
     process.wait(timeout=60)
+    # The campaign's pool workers die with it, not linger reparented.
+    deadline = time.monotonic() + 5
+    while any(map(_alive, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in workers if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert not survivors, f"pool workers outlived SIGTERM: {survivors}"
 
     completed_before = len(json.loads(ck.read_text())["completed"])
     resume = subprocess.run(
