@@ -2,8 +2,8 @@
 
 Three synthetic shapes isolate what real runs do to the event queue:
 a rolling one-shot stream (packet dispatch), a bank of self-rearming
-periodic timers (netperf generators, MII monitor — the timer wheel's
-target load), and a cancel-and-rearm loop (interrupt-throttle debris).
+periodic timers (netperf generators, MII monitor — the densest load on
+the queue), and a cancel-and-rearm loop (interrupt-throttle debris).
 """
 
 from repro.bench import (

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import difflib
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
@@ -184,6 +185,12 @@ class Scenario:
         if self.sim_mode not in ("exact", "fluid"):
             raise ValueError(f"sim_mode must be 'exact' or 'fluid', "
                              f"not {self.sim_mode!r}")
+        if not (math.isfinite(self.warmup) and self.warmup >= 0):
+            raise ValueError(f"warmup must be finite and >= 0, "
+                             f"not {self.warmup!r}")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and > 0, "
+                             f"not {self.duration!r}")
         # Normalize the mapping fields to plain dicts so equality,
         # pickling and JSON hashing see one representation.
         for fname in ("policy", "opts"):

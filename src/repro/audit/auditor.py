@@ -23,9 +23,7 @@ tests), never noise.  The audited laws:
   charged to some physical core: ``ledger.total_cycles <=
   machine.cycles()`` (small float tolerance).
 * **event-queue** — engine accounting (``live + cancelled`` equals the
-  entries physically queued across heap/wheel/current bucket), the
-  heap property, and timer-wheel sanity (count, exact ``next_slot``,
-  slot-homogeneous buckets).
+  entries physically on the heap) and the heap property.
 * **packet-buffer** — VMDq queue occupancy:
   ``len == enqueued - dequeued - cleared``.
 
@@ -42,7 +40,6 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional
 
 from repro.hw.lapic import FIRST_USABLE_VECTOR, VECTOR_COUNT
-from repro.sim.wheel import FAR_SLOT
 
 #: Schema tag of the on-disk repro dump a violation writes.
 DUMP_SCHEMA = "repro-audit-dump/1"
@@ -318,51 +315,20 @@ class InvariantAuditor:
     def _check_event_queue(self, phase: str) -> None:
         sim = self.bed.sim
         stats = sim.queue_stats()
-        queued = stats["heap"] + stats["wheel"] + stats["current"]
         accounted = stats["live"] + stats["cancelled"]
-        if accounted != queued:
+        if accounted != stats["heap"]:
             self._fail("event-queue",
                        f"live+cancelled={accounted} != queued "
-                       f"entries={queued}",
+                       f"entries={stats['heap']}",
                        dict(stats))
         heap = sim._heap
-        length = len(heap)
-        for index in range(1, length):
+        for index in range(1, len(heap)):
             if heap[index] < heap[(index - 1) >> 1]:
                 self._fail("event-queue",
                            f"heap property broken at index {index}",
                            {"index": index,
                             "entry_time": heap[index][0],
                             "parent_time": heap[(index - 1) >> 1][0]})
-        wheel = sim._wheel
-        bucketed = sum(len(bucket) for bucket in wheel.buckets)
-        if bucketed != wheel.count:
-            self._fail("event-queue",
-                       f"wheel count={wheel.count} != bucketed entries="
-                       f"{bucketed}", {"count": wheel.count,
-                                       "bucketed": bucketed})
-        if wheel.count == 0:
-            if wheel.next_slot != FAR_SLOT:
-                self._fail("event-queue",
-                           "empty wheel with a finite next_slot hint",
-                           {"next_slot": wheel.next_slot})
-            return
-        smallest = FAR_SLOT
-        for bucket in wheel.buckets:
-            slots = {int(entry[0] * wheel.inv_width) for entry in bucket}
-            if len(slots) > 1:
-                self._fail("event-queue",
-                           "wheel bucket mixes absolute slots "
-                           f"{sorted(slots)}",
-                           {"slots": sorted(slots)})
-            if slots:
-                smallest = min(smallest, min(slots))
-        if smallest != wheel.next_slot:
-            self._fail("event-queue",
-                       f"wheel next_slot={wheel.next_slot} but smallest "
-                       f"populated slot is {smallest}",
-                       {"next_slot": wheel.next_slot,
-                        "smallest": smallest})
 
     def _check_packet_buffers(self, phase: str) -> None:
         port = getattr(self.bed, "_vmdq_port", None)

@@ -97,8 +97,8 @@ def bench_event_stream(events: int) -> Dict[str, float]:
 def bench_periodic_timers(events: int, timers: int = 32) -> Dict[str, float]:
     """A bank of self-rearming periodic timers: the generator shape.
 
-    Mirrors the dense periodic tier (netperf ticks, MII monitor, AIC
-    sample timers) the timer wheel is built for: many concurrent
+    Mirrors the dense periodic timers (netperf ticks, MII monitor, AIC
+    sample timers) that dominate real runs' queues: many concurrent
     timers, each rescheduling itself a fixed period ahead.
     """
     sim = Simulator()

@@ -9,14 +9,12 @@ raised and masked at the same timestamp — deterministic.
 Hot-path layout (the engine executes tens of millions of events per
 figure campaign, so this is the repro's wall clock):
 
-* Queue entries are native ``(time, seq, handle)`` tuples — ordering is
-  C-level tuple comparison, and ``seq`` is unique so the handle is
-  never compared.
-* A calendar-queue tier (:class:`repro.sim.wheel.TimerWheel`) fronts
-  the heap for near-future events — the dense periodic timers that
-  dominate the queue — draining one sorted bucket at a time.  The heap
-  remains the general store for far-out, current-slot, and
-  past-horizon events; correctness never depends on the wheel.
+* The queue is one binary heap of native ``(time, seq, handle)``
+  tuples — ordering is C-level tuple comparison, and ``seq`` is unique
+  so the handle is never compared.  No calendar-queue tier sits in
+  front of it: measured against this heap alone, such a tier was no
+  faster on the engine micro-loops or the perfbench workloads
+  (docs/performance.md).
 * :class:`EventHandle` objects are pooled: after dispatch (or a
   skipped cancelled entry), a handle provably free of external
   references (``sys.getrefcount``, CPython only) returns to a free
@@ -33,10 +31,9 @@ from __future__ import annotations
 
 import sys
 from heapq import heapify, heappop, heappush
+from math import isnan
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
-
-from repro.sim.wheel import TimerWheel
 
 _INF = float("inf")
 
@@ -46,7 +43,7 @@ _INF = float("inf")
 #: refcounts at all, so pooling is disabled there (-1 never matches).
 _POOL_RC = 3 if sys.implementation.name == "cpython" else -1
 
-#: Compact the queues once cancelled debris passes this floor *and*
+#: Compact the heap once cancelled debris passes this floor *and*
 #: outnumbers the live events.
 _COMPACT_FLOOR = 256
 
@@ -60,7 +57,7 @@ class EventHandle:
 
     Cancellation is lazy: the entry stays queued but is skipped when it
     surfaces.  This keeps :meth:`Simulator.cancel` O(1); the simulator
-    additionally compacts the queues when debris accumulates.
+    additionally compacts the heap when debris accumulates.
 
     Dispatch marks the handle cancelled before invoking its callback,
     so a late ``cancel()`` on an already-fired handle is a no-op and
@@ -91,9 +88,6 @@ class EventHandle:
             if cancelled > _COMPACT_FLOOR and cancelled > sim._live:
                 sim._compact()
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__qualname__", repr(self.callback))
@@ -117,13 +111,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self.now: float = start_time
-        #: Far-out / current-slot entries: a heap of (time, seq, handle).
+        #: The event queue: a heap of (time, seq, handle) tuples.
         self._heap: List[Tuple] = []
-        #: Near-future periodic tier (see :mod:`repro.sim.wheel`).
-        self._wheel = TimerWheel(start_time=start_time)
-        #: The sorted, partially-consumed bucket the wheel last drained.
-        self._current: List[Tuple] = []
-        self._ci: int = 0
         self._seq: int = 0
         self._running: bool = False
         self._events_executed: int = 0
@@ -151,7 +140,7 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # also rejects NaN
             raise SimulationError(
                 f"cannot schedule at t={time} (now={self.now}): time travel"
             )
@@ -169,9 +158,7 @@ class Simulator:
             handle = EventHandle(time, seq, callback, args)
             handle._sim = self
         self._live += 1
-        entry = (time, seq, handle)
-        if not self._wheel.try_insert(self.now, time, entry):
-            heappush(self._heap, entry)
+        heappush(self._heap, (time, seq, handle))
         return handle
 
     def cancel(self, handle: EventHandle) -> None:
@@ -184,57 +171,19 @@ class Simulator:
     def peek(self) -> Optional[float]:
         """Timestamp of the next live event, or None if the queue is empty.
 
-        Discards any cancelled prefix while looking, loading wheel
-        buckets as needed to make the answer exact.
+        Discards any cancelled prefix while looking.
         """
         heap = self._heap
-        wheel = self._wheel
-        while True:
-            current = self._current
-            ci = self._ci
-            clen = len(current)
-            while ci < clen and current[ci][2].cancelled:
-                self._cancelled -= 1
-                ci += 1
-            self._ci = ci
-            while heap and heap[0][2].cancelled:
-                self._cancelled -= 1
-                heappop(heap)
-            centry = current[ci] if ci < clen else None
-            hentry = heap[0] if heap else None
-            if centry is None:
-                nxt = hentry
-            elif hentry is None or centry < hentry:
-                nxt = centry
-            else:
-                nxt = hentry
-            if wheel.count and (
-                    nxt is None
-                    or wheel.next_slot <= int(nxt[0] * wheel.inv_width)):
-                # The current bucket's slot always precedes next_slot,
-                # so reaching here means the buffer is fully consumed
-                # and loading cannot clobber pending entries.
-                self._current = wheel.load()
-                self._ci = 0
-                continue
-            return nxt[0] if nxt is not None else None
+        while heap and heap[0][2].cancelled:
+            self._cancelled -= 1
+            heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False if none remained."""
         if self.peek() is None:
             return False
-        current = self._current
-        ci = self._ci
-        heap = self._heap
-        if ci < len(current):
-            centry = current[ci]
-            if heap and heap[0] < centry:
-                entry = heappop(heap)
-            else:
-                entry = centry
-                self._ci = ci + 1
-        else:
-            entry = heappop(heap)
+        entry = heappop(self._heap)
         handle = entry[2]
         self.now = entry[0]
         self._events_executed += 1
@@ -267,58 +216,24 @@ class Simulator:
         clock is advanced exactly to ``until``.
 
         The dispatch loop is inlined (no per-event ``peek``/``step``
-        round trips): merge the sorted current wheel bucket against the
-        heap top, skip cancelled entries, pool handles that have no
-        external references.
+        round trips): pop the heap top, skip cancelled entries, pool
+        handles that have no external references.
         """
+        if until is not None and isnan(until):
+            raise SimulationError("cannot run until t=nan")
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         limit = _INF if until is None else until
         heap = self._heap  # identity is stable: _compact filters in place
-        wheel = self._wheel
         free = self._free
         pool_rc = _POOL_RC
         try:
-            while True:
-                current = self._current
-                ci = self._ci
-                clen = len(current)
-                if ci >= clen and wheel.count:
-                    # The wheel may hold the next event: load its next
-                    # bucket unless the heap top (or the horizon) comes
-                    # strictly before that slot can begin.  Slots are
-                    # compared as ints so float rounding cannot reorder.
-                    bound = heap[0][0] if heap and heap[0][0] < limit else limit
-                    if bound == _INF or wheel.next_slot <= int(
-                            bound * wheel.inv_width):
-                        current = self._current = wheel.load()
-                        ci = self._ci = 0
-                        clen = len(current)
-                if ci < clen:
-                    entry = current[ci]
-                    if heap:
-                        hentry = heap[0]
-                        if hentry < entry:
-                            if hentry[0] > limit:
-                                break
-                            heappop(heap)
-                            entry = hentry
-                        else:
-                            if entry[0] > limit:
-                                break
-                            self._ci = ci + 1
-                    else:
-                        if entry[0] > limit:
-                            break
-                        self._ci = ci + 1
-                elif heap:
-                    entry = heap[0]
-                    if entry[0] > limit:
-                        break
-                    heappop(heap)
-                else:
+            while heap:
+                entry = heap[0]
+                if entry[0] > limit:
                     break
+                heappop(heap)
                 handle = entry[2]
                 if handle.cancelled:
                     self._cancelled -= 1
@@ -373,40 +288,27 @@ class Simulator:
     def queue_stats(self) -> dict:
         """Read-only queue accounting for the invariant auditor.
 
-        Unlike :meth:`peek`, this never mutates the queues — no
-        cancelled-prefix popping, no wheel bucket loads — so calling it
-        mid-run cannot perturb the event stream.  The identity audited
-        against it: ``live + cancelled`` equals the entries physically
-        present across the heap, the wheel, and the unconsumed tail of
-        the current bucket (every entry is in exactly one tier).
+        Unlike :meth:`peek`, this never mutates the heap — no
+        cancelled-prefix popping — so calling it mid-run cannot perturb
+        the event stream.  The identity audited against it: ``live +
+        cancelled`` equals the entries physically on the heap.
         """
         return {
             "live": self._live,
             "cancelled": self._cancelled,
             "heap": len(self._heap),
-            "wheel": self._wheel.count,
-            "current": len(self._current) - self._ci,
         }
 
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
     def _compact(self) -> None:
-        """Eagerly drop lazily-cancelled entries from every queue tier.
+        """Eagerly drop lazily-cancelled entries from the heap.
 
-        Filters in place where the run loop caches references (the
-        heap), and exactly resets the cancelled-debris counter.
+        Filters in place, because the run loop caches a reference to
+        the heap, and exactly resets the cancelled-debris counter.
         """
         heap = self._heap
-        live_heap = [entry for entry in heap if not entry[2].cancelled]
-        if len(live_heap) != len(heap):
-            heap[:] = live_heap
-            heapify(heap)
-        ci = self._ci
-        current = self._current
-        if ci or current:
-            self._current = [entry for entry in current[ci:]
-                             if not entry[2].cancelled]
-            self._ci = 0
-        self._wheel.compact()
+        heap[:] = [entry for entry in heap if not entry[2].cancelled]
+        heapify(heap)
         self._cancelled = 0

@@ -131,6 +131,17 @@ class TestSeededViolations:
             bed.auditor.audit()
         assert excinfo.value.check == "event-queue"
 
+    def test_broken_heap_order_is_caught(self, tmp_path):
+        bed = _bed(tmp_path)
+        bed.sim.schedule(1.0, lambda: None)
+        bed.sim.schedule(2.0, lambda: None)
+        heap = bed.sim._heap
+        heap[0], heap[1] = heap[1], heap[0]  # child now precedes parent
+        with pytest.raises(InvariantViolation) as excinfo:
+            bed.auditor.audit()
+        assert excinfo.value.check == "event-queue"
+        assert "heap property" in str(excinfo.value)
+
     def test_violations_accumulate(self, tmp_path):
         bed = _bed(tmp_path)
         bed.packet_pool.acquired += 1

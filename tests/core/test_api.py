@@ -48,6 +48,16 @@ class TestScenarioValidation:
         with pytest.raises(TypeError):
             Scenario(opts={"warp_drive": True})
 
+    @pytest.mark.parametrize("field, value", [
+        ("warmup", float("nan")), ("warmup", float("inf")),
+        ("warmup", -0.01),
+        ("duration", float("nan")), ("duration", float("inf")),
+        ("duration", -0.01), ("duration", 0),
+    ])
+    def test_bad_measurement_window_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scenario(mode="sriov", vm_count=1, ports=1, **{field: value})
+
 
 class TestScenarioFaults:
     def test_faults_normalized_at_construction(self):

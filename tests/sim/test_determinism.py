@@ -9,8 +9,8 @@ qualname)`` on a fixed multi-VM scenario.
   produce identical digests (catches hidden global state — module
   sequences, shared pools, dict-order leaks).
 * The golden test pins the digest to a recorded constant, so *any*
-  change to event ordering — a reordered schedule call, a wheel/heap
-  tie broken differently, a float computed another way — fails loudly.
+  change to event ordering — a reordered schedule call, a tie broken
+  differently, a float computed another way — fails loudly.
   If you changed scheduling **on purpose**, re-record the constant
   (run the helper below) and say so in the commit; if you didn't, the
   failure is a real regression.

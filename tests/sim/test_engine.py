@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim import Simulator, SimulationError
@@ -74,6 +76,40 @@ def test_schedule_at_in_past_rejected():
     sim.run()
     with pytest.raises(SimulationError):
         sim.schedule_at(0.5, lambda: None)
+
+
+@pytest.mark.parametrize("call", ["schedule", "schedule_at"])
+def test_nan_time_rejected_without_touching_the_queue(call):
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    stats = sim.queue_stats()
+    for _ in range(2):
+        with pytest.raises(SimulationError):
+            getattr(sim, call)(math.nan, lambda: None)
+    assert sim.pending_events == 1
+    assert sim.queue_stats() == stats
+    assert sim.schedule(2.0, lambda: None).seq == 1
+    sim.run()
+    assert sim.now == 2.0
+
+
+def test_run_until_nan_rejected_before_dispatching():
+    sim = Simulator()
+    fired = []
+
+    def tick():
+        fired.append(sim.now)
+        if len(fired) >= 100:
+            raise AssertionError("run(until=nan) kept dispatching")
+        sim.schedule(1.0, tick)
+
+    sim.schedule(1.0, tick)
+    with pytest.raises(SimulationError):
+        sim.run(until=math.nan)
+    assert fired == []
+    assert sim.now == 0.0
+    sim.run(until=2.5)  # not left marked as running
+    assert fired == [1.0, 2.0]
 
 
 def test_events_scheduled_during_run_execute():
