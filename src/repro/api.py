@@ -39,6 +39,7 @@ from repro.core.experiment import (
     RunResult,
 )
 from repro.core.optimizations import OptimizationConfig
+from repro.drivers.coalescing import policy_from_spec
 from repro.net.packet import Protocol
 from repro.vmm.domain import DomainKind, GuestKernel
 
@@ -191,14 +192,27 @@ class Scenario:
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be finite and > 0, "
                              f"not {self.duration!r}")
+        for fname in ("vm_count", "ports", "vfs_per_port", "message_bytes"):
+            if not getattr(self, fname) >= 1:
+                raise ValueError(f"{fname} must be >= 1, "
+                                 f"not {getattr(self, fname)!r}")
+        if self.offered_bps is not None and not (
+                math.isfinite(self.offered_bps) and self.offered_bps > 0):
+            raise ValueError(f"offered_bps must be None or finite and > 0, "
+                             f"not {self.offered_bps!r}")
+        if not math.isfinite(self.start_at):
+            raise ValueError(f"start_at must be finite, "
+                             f"not {self.start_at!r}")
         # Normalize the mapping fields to plain dicts so equality,
         # pickling and JSON hashing see one representation.
         for fname in ("policy", "opts"):
             value = getattr(self, fname)
             if value is not None:
                 object.__setattr__(self, fname, dict(value))
+        # Fail at construction, not at run time in a pool worker.
+        if self.policy is not None:
+            policy_from_spec(self.policy)
         if self.opts is not None:
-            # Fail at construction, not at run time in a pool worker.
             OptimizationConfig(**self.opts)
         # Normalize the fault plan: validated, defaults filled, empty
         # collapsed to None so "no faults" has one representation.

@@ -19,6 +19,7 @@ results.
 
 from __future__ import annotations
 
+import math
 import zlib
 from collections import deque
 from dataclasses import dataclass
@@ -86,6 +87,7 @@ class HostSpec:
                              f"{sorted(_KERNELS)}, not {self.kernel!r}")
         if self.policy is not None:
             object.__setattr__(self, "policy", dict(self.policy))
+            policy_from_spec(self.policy)  # fail here, not in a worker
 
     def to_dict(self) -> Dict[str, object]:
         data: Dict[str, object] = {
@@ -133,8 +135,9 @@ class FlowSpec:
             raise ValueError("flow src_host and dst_host must be non-empty")
         if self.src_vm < 0 or self.dst_vm < 0:
             raise ValueError("flow VM indexes must be non-negative")
-        if self.offered_bps <= 0:
-            raise ValueError("flow offered_bps must be positive")
+        if not (math.isfinite(self.offered_bps) and self.offered_bps > 0):
+            raise ValueError(f"flow offered_bps must be finite and > 0, "
+                             f"not {self.offered_bps!r}")
         if self.message_bytes < 1:
             raise ValueError("flow message_bytes must be positive")
         if self.protocol not in _PROTOCOLS:

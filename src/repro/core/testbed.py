@@ -151,8 +151,7 @@ class Testbed:
         #: mode and when everything collapsed).
         self.fluid_rejections: Dict[str, int] = {}
         self.streams = RandomStreams(self.config.seed)
-        #: Run-scoped packet allocator: per-run deterministic seqs, and
-        #: the SR-IOV RX path recycles consumed packets through it.
+        #: Run-scoped packet allocator: per-run deterministic seqs.
         self.packet_pool = PacketPool()
         if self.config.native:
             self.platform = NativeHost(self.sim, self.config.costs)
@@ -258,8 +257,7 @@ class Testbed:
             self.platform.iommu.attach(vf.pci.rid, domain.io_page_table)
         app = NetserverApp(self.config.costs, name=f"{name}.netserver")
         driver = VfDriver(self.platform, domain, vf,
-                          policy or FixedItr(2000), app,
-                          pool=self.packet_pool)
+                          policy or FixedItr(2000), app)
         driver.start()
         guest = SriovGuest(domain, vf, assignment, driver, app, port)
         self.sriov_guests.append(guest)

@@ -135,10 +135,10 @@ class _NetFunction:
         self.itr_floor_interval: float = 0.0
         self.mac: Optional[MacAddress] = None
         self.enabled = False
-        #: Installed by the fluid datapath (repro.sim.fluid): called
-        #: after every ITR register rewrite so a collapsed flow can
-        #: revalidate its window at the instant of the change (ITR
-        #: writes happen at sample ticks — settle points).
+        #: Installed by the fluid datapath (repro.sim.fluid): a
+        #: collapsed flow's ``settle_strict``, called before every ITR
+        #: register write lands so the open window replays under the
+        #: outgoing interval.
         self.fluid_listener = None
         # Statistics.  Conservation law (audited): every offered packet
         # is accounted exactly once — rx_offered == rx_packets +

@@ -151,9 +151,9 @@ def build_vf_registers(vf) -> RegisterFile:
                 listener = vf.fluid_listener
                 if listener is not None:
                     # Before the write lands: the open collapsed window
-                    # must replay under the interval it ran with in the
-                    # exact engine, not the one being programmed.
-                    listener(interval)
+                    # must replay under the outgoing interval, the one
+                    # it ran with in the exact engine.
+                    listener()
                 vf.throttle.set_interval(interval)
         return hook
 

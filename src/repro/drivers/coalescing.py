@@ -16,6 +16,7 @@ on a periodic tick, feeding back the measured packet rate.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Dict, Mapping, Optional
 
@@ -46,8 +47,9 @@ class FixedItr(CoalescingPolicy):
     """A constant interrupt frequency."""
 
     def __init__(self, hz: float):
-        if hz <= 0:
-            raise ValueError("interrupt frequency must be positive")
+        if not (math.isfinite(hz) and hz > 0):
+            raise ValueError(f"interrupt frequency hz must be finite and "
+                             f"> 0, not {hz!r}")
         self.hz = hz
 
     def initial_interval(self) -> float:
@@ -71,8 +73,10 @@ class DynamicItr(CoalescingPolicy):
 
     def __init__(self, target_packets_per_interrupt: float = 9.0,
                  max_hz: float = 9000.0, min_hz: float = 500.0):
-        if target_packets_per_interrupt <= 0:
-            raise ValueError("target batch must be positive")
+        if not (math.isfinite(target_packets_per_interrupt)
+                and target_packets_per_interrupt > 0):
+            raise ValueError(f"target batch must be finite and > 0, not "
+                             f"{target_packets_per_interrupt!r}")
         if not 0 < min_hz <= max_hz:
             raise ValueError("need 0 < min_hz <= max_hz")
         self.target = target_packets_per_interrupt
@@ -158,7 +162,12 @@ def policy_from_spec(spec: Mapping[str, object],
     kind = spec["kind"]
     extra = {k: v for k, v in spec.items() if k != "kind"}
     if kind == "fixed_itr":
-        return FixedItr(float(extra.pop("hz")))
+        if "hz" not in extra:
+            raise ValueError("fixed_itr spec needs an 'hz' key")
+        hz = float(extra.pop("hz"))
+        if extra:
+            raise ValueError(f"unknown fixed_itr keys: {sorted(extra)}")
+        return FixedItr(hz)
     if kind == "dynamic_itr":
         kwargs = {}
         if "target" in extra:

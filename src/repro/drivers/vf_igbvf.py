@@ -33,7 +33,7 @@ from repro.drivers.coalescing import CoalescingPolicy, FixedItr
 from repro.drivers.guest_app import NetserverApp
 from repro.drivers.napi import NapiContext
 from repro.hw.msi import MsiMessage
-from repro.net.packet import Packet, PacketPool
+from repro.net.packet import Packet
 from repro.sim.engine import EventHandle
 from repro.sim.stats import RateMeter
 from repro.vmm.domain import Domain
@@ -56,7 +56,6 @@ class VfDriver:
         policy: Optional[CoalescingPolicy] = None,
         app: Optional[NetserverApp] = None,
         name: str = "",
-        pool: Optional[PacketPool] = None,
     ):
         """``platform`` is a Xen or NativeHost; ``domain`` the driver's
         context (a guest under Xen, a host context natively)."""
@@ -68,10 +67,6 @@ class VfDriver:
         self.policy = policy or FixedItr(2000)
         self.app = app or NetserverApp(platform.costs)
         self.name = name or f"igbvf.{vf.name}"
-        #: The testbed's packet allocator; fully-consumed RX packets are
-        #: returned here at the end of the ISR (the driver "freeing its
-        #: skbs").  None = packets are left to the garbage collector.
-        self.pool = pool
         self.napi = NapiContext()
         self.rx_meter = RateMeter(f"{self.name}.pps")
         self.rx_vector: Optional[int] = None
@@ -187,11 +182,6 @@ class VfDriver:
         accepted = 0
         if packets:
             accepted, _dropped = self.app.deliver(packets, self.sim.now)
-            if self.pool is not None:
-                # The refill above re-posted the reaped slots
-                # (clearing their packet references), so consumed
-                # packets can go back to the allocator.
-                self.pool.release(packets)
         self.account_isr((batch,), accepted)
         if hvm_under_xen:
             self.platform.vlapic(self.domain).eoi_write()

@@ -20,6 +20,7 @@ nothing can cross the fabric faster than it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
@@ -47,12 +48,14 @@ class FabricSpec:
     queue_frames: int = DEFAULT_QUEUE_FRAMES
 
     def __post_init__(self):
-        if self.uplink_gbps <= 0:
-            raise ValueError("fabric uplink_gbps must be positive")
-        if self.latency_s <= 0:
+        if not (math.isfinite(self.uplink_gbps) and self.uplink_gbps > 0):
+            raise ValueError(f"fabric uplink_gbps must be finite and > 0, "
+                             f"not {self.uplink_gbps!r}")
+        if not (math.isfinite(self.latency_s) and self.latency_s > 0):
             raise ValueError(
-                "fabric latency_s must be positive: it is the conservative "
-                "synchronization lookahead between host engines")
+                "fabric latency_s must be finite and > 0: it is the "
+                "conservative synchronization lookahead between host "
+                f"engines (got {self.latency_s!r})")
         if self.queue_frames < 1:
             raise ValueError("fabric queue_frames must be at least 1")
 

@@ -15,7 +15,6 @@ framing arithmetic, reproduced here from first principles:
 from __future__ import annotations
 
 import itertools
-import sys
 from enum import Enum
 
 from repro.net.mac import MacAddress, VLAN_NONE
@@ -98,38 +97,23 @@ class Packet:
                 f"{self.size_bytes}B, {self.protocol.value})")
 
 
-#: A packet with no references outside a release() call shows exactly
-#: this refcount (burst list + loop variable + getrefcount argument).
-#: Refcounts are a CPython notion; elsewhere pooling quietly disables.
-_RELEASE_RC = 3 if sys.implementation.name == "cpython" else -1
-
-
 class PacketPool:
-    """A run-scoped :class:`Packet` allocator.
+    """A run-scoped :class:`Packet` allocator with its own sequence.
 
-    Two jobs, both in service of the scaling figures' hot path:
-
-    * **Deterministic ids.**  The pool owns its own sequence counter,
-      restarting at 0, so a (scenario, seed) pair replays with
-      identical ``Packet.seq`` values no matter how many runs preceded
-      it in the process — unlike the module-global fallback sequence.
-      Each testbed owns one pool.
-    * **Object reuse.**  ``acquire_burst`` recycles released packets via
-      ``Packet.__new__`` plus plain field writes, skipping ``__init__``
-      validation on the hottest allocation site in the simulation.
-      ``release`` only pools packets that provably have no outside
-      references (``sys.getrefcount``), so a held packet — buffered in
-      a queue, parked in a ring slot — is never mutated under its
-      holder; it simply falls back to the garbage collector.
+    The pool's counter restarts at 0, so a (scenario, seed) pair
+    replays with identical ``Packet.seq`` values no matter how many
+    runs preceded it in the process — unlike the module-global
+    fallback sequence.  Each testbed owns one pool.  Packets are never
+    returned to it: a refcount-gated free list was measured and moved
+    no perfbench workload (docs/performance.md).
     """
 
-    __slots__ = ("_free", "_seq", "acquired")
+    __slots__ = ("_seq", "acquired")
 
     def __init__(self) -> None:
-        self._free: list = []
         self._seq = 0
         #: Total packets ever handed out; the invariant auditor checks
-        #: it against ``next_seq`` and the free list's size.
+        #: it against ``next_seq``.
         self.acquired = 0
 
     @property
@@ -147,12 +131,11 @@ class PacketPool:
         seq = self._seq
         self._seq = seq + count
         self.acquired += count
-        free = self._free
         new = Packet.__new__
         burst = []
         append = burst.append
         for _ in range(count):
-            packet = free.pop() if free else new(Packet)
+            packet = new(Packet)
             packet.src = src
             packet.dst = dst
             packet.size_bytes = size_bytes
@@ -164,18 +147,6 @@ class PacketPool:
             seq += 1
             append(packet)
         return burst
-
-    def release(self, burst: list) -> None:
-        """Return fully-consumed packets to the pool.
-
-        Safe to call with packets someone still references: the
-        refcount gate skips them.
-        """
-        free = self._free
-        rc = sys.getrefcount
-        for packet in burst:
-            if rc(packet) == _RELEASE_RC:
-                free.append(packet)
 
 
 def wire_bytes(size_bytes: int, vlan: int = VLAN_NONE) -> int:

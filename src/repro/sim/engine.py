@@ -15,10 +15,9 @@ figure campaign, so this is the repro's wall clock):
   front of it: measured against this heap alone, such a tier was no
   faster on the engine micro-loops or the perfbench workloads
   (docs/performance.md).
-* :class:`EventHandle` objects are pooled: after dispatch (or a
-  skipped cancelled entry), a handle provably free of external
-  references (``sys.getrefcount``, CPython only) returns to a free
-  list for the next ``schedule`` call.
+* Every ``schedule`` builds a fresh :class:`EventHandle`.  A
+  refcount-gated free list of fired handles was measured against this
+  and moved no perfbench workload (docs/performance.md).
 * ``run()`` dispatches inline — no ``peek()``/``step()`` double heap
   touch — and ``pending_events`` is O(1) via a live-event counter.
 * Lazily-cancelled debris is compacted eagerly once it outnumbers the
@@ -29,19 +28,11 @@ figure campaign, so this is the repro's wall clock):
 
 from __future__ import annotations
 
-import sys
 from heapq import heapify, heappop, heappush
 from math import isnan
-from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
 _INF = float("inf")
-
-#: A handle with no references outside the engine shows exactly this
-#: refcount at the pooling checks (entry tuple + one local + the
-#: getrefcount argument).  Non-CPython implementations may not have
-#: refcounts at all, so pooling is disabled there (-1 never matches).
-_POOL_RC = 3 if sys.implementation.name == "cpython" else -1
 
 #: Compact the heap once cancelled debris passes this floor *and*
 #: outnumbers the live events.
@@ -67,13 +58,14 @@ class EventHandle:
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
 
     def __init__(self, time: float, seq: int,
-                 callback: Callable[..., Any], args: tuple):
+                 callback: Callable[..., Any], args: tuple,
+                 sim: "Simulator"):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
-        self._sim: Optional["Simulator"] = None
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
@@ -81,12 +73,11 @@ class EventHandle:
             return
         self.cancelled = True
         sim = self._sim
-        if sim is not None:
-            sim._live -= 1
-            cancelled = sim._cancelled + 1
-            sim._cancelled = cancelled
-            if cancelled > _COMPACT_FLOOR and cancelled > sim._live:
-                sim._compact()
+        sim._live -= 1
+        cancelled = sim._cancelled + 1
+        sim._cancelled = cancelled
+        if cancelled > _COMPACT_FLOOR and cancelled > sim._live:
+            sim._compact()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -126,8 +117,6 @@ class Simulator:
         self._live: int = 0
         #: Cancelled entries still queued (compaction trigger).
         self._cancelled: int = 0
-        #: Recycled EventHandle pool.
-        self._free: List[EventHandle] = []
 
     # ------------------------------------------------------------------
     # scheduling
@@ -146,17 +135,7 @@ class Simulator:
             )
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            handle = free.pop()
-            handle.time = time
-            handle.seq = seq
-            handle.callback = callback
-            handle.args = args
-            handle.cancelled = False
-        else:
-            handle = EventHandle(time, seq, callback, args)
-            handle._sim = self
+        handle = EventHandle(time, seq, callback, args, self)
         self._live += 1
         heappush(self._heap, (time, seq, handle))
         return handle
@@ -216,8 +195,7 @@ class Simulator:
         clock is advanced exactly to ``until``.
 
         The dispatch loop is inlined (no per-event ``peek``/``step``
-        round trips): pop the heap top, skip cancelled entries, pool
-        handles that have no external references.
+        round trips): pop the heap top, skip cancelled entries.
         """
         if until is not None and isnan(until):
             raise SimulationError("cannot run until t=nan")
@@ -226,8 +204,6 @@ class Simulator:
         self._running = True
         limit = _INF if until is None else until
         heap = self._heap  # identity is stable: _compact filters in place
-        free = self._free
-        pool_rc = _POOL_RC
         try:
             while heap:
                 entry = heap[0]
@@ -237,36 +213,16 @@ class Simulator:
                 handle = entry[2]
                 if handle.cancelled:
                     self._cancelled -= 1
-                    if getrefcount(handle) == pool_rc:
-                        handle.callback = None
-                        handle.args = ()
-                        free.append(handle)
                     continue
                 self.now = entry[0]
                 self._events_executed += 1
                 self._live -= 1
                 handle.cancelled = True  # late cancel(): no-op
                 observer = self._step_observer
-                if observer is not None:
-                    observer(handle)
-                    continue
-                callback = handle.callback
-                args = handle.args
-                if getrefcount(handle) == pool_rc:
-                    # No external references: recycle before dispatch so
-                    # the callback's own schedules can reuse the handle.
-                    handle.callback = None
-                    handle.args = ()
-                    free.append(handle)
-                    callback(*args)
+                if observer is None:
+                    handle.callback(*handle.args)
                 else:
-                    callback(*args)
-                    # Callers like the interrupt throttle drop their
-                    # reference inside the callback; re-check.
-                    if getrefcount(handle) == pool_rc:
-                        handle.callback = None
-                        handle.args = ()
-                        free.append(handle)
+                    observer(handle)
             if until is not None and until > self.now:
                 self.now = until
         finally:

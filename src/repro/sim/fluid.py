@@ -90,9 +90,6 @@ from typing import List, Optional, Tuple
 
 from repro.devices.igb82576 import TX_BACKLOG_LIMIT, VECTOR_RXTX
 
-#: Collapsing only pays when an ITR window spans several ticks.
-MIN_TICKS_PER_WINDOW = 3.0
-
 
 def rearm(sim, pending) -> None:
     """Re-create pending virtual handles as real events.
@@ -107,11 +104,6 @@ def rearm(sim, pending) -> None:
 
 class FluidFlow:
     """One collapsed client->VF stream on an otherwise idle port."""
-
-    #: Minimum throttle-window length, in burst intervals, worth
-    #: collapsing (flows that transmit through this host relax it to 0,
-    #: which lets the receiver's adaptive ITR reprogram freely).
-    _min_window = MIN_TICKS_PER_WINDOW
 
     def __init__(self, bed, guest, stream):
         self.bed = bed
@@ -210,12 +202,9 @@ class FluidFlow:
             return self._reject("jitter")
         if stream.pool is None:
             return self._reject("pool")
-        # Speed heuristics: every tick should carry packets, and a
-        # window should span several ticks (see MIN_TICKS_PER_WINDOW).
+        # The bulk replay loop assumes every tick carries packets.
         if stream.pps * stream.burst_interval < 1.0:
             return self._reject("sparse_ticks")
-        if vf.throttle.interval < self._min_window * stream.burst_interval:
-            return self._reject("itr_window")
         if not (vf.enabled and driver.running):
             return self._reject("not_running")
         if port.rx_corrupt_budget != 0:
@@ -275,11 +264,9 @@ class FluidFlow:
         driver._fluid = self
         if hasattr(self.tx_driver, "_fluid"):
             self.tx_driver._fluid = self
-        # Adaptive policies rewrite VTEITR at sample ticks (which are
-        # settle points); the register hook tells us so a window that
-        # shrank below the collapse floor leaves the fast path at the
-        # instant of the write.
-        vf.fluid_listener = self.interval_reprogrammed
+        # A VTEITR write (adaptive sample ticks, or the guest itself)
+        # settles the open window before the new interval lands.
+        vf.fluid_listener = self.settle_strict
         return True
 
     def _tx_gate(self) -> Optional[str]:
@@ -380,12 +367,9 @@ class FluidFlow:
         """
         if self.active:
             return True
-        # The ITR may have been reprogrammed (AIC) since attach.  A
-        # port group's streams collapse together or not at all.
+        # A port group's streams collapse together or not at all.
         group = self.group
         if not (self._still_valid() and self._ring_clean_and_mapped()
-                and self.vf.throttle.interval
-                >= self._min_window * self.stream.burst_interval
                 and (group is None or group.admits(self))):
             if group is not None:
                 group.evict()
@@ -410,7 +394,7 @@ class FluidFlow:
         for owner in (self.stream, self.driver, self.tx_driver):
             if getattr(owner, "_fluid", None) is self:
                 owner._fluid = None
-        if self.vf.fluid_listener == self.interval_reprogrammed:
+        if self.vf.fluid_listener == self.settle_strict:
             self.vf.fluid_listener = None
         if getattr(self.port, "_fluid_tx", None) is self:
             self.port._fluid_tx = None
@@ -673,7 +657,9 @@ class FluidFlow:
         virtual event (the ITR sample tick, scheduled a full period
         ago): the exact run executes that event *before* equal-time
         ticks or fires.  Between runs it is inclusive, like
-        :meth:`settle`."""
+        :meth:`settle`.  Also the VTEITR register hook: future
+        replayed requests read the throttle live, so only the open
+        window needs replaying before a new interval lands."""
         self._catch_up(False)
 
     def _catch_up(self, inclusive: bool) -> None:
@@ -684,24 +670,6 @@ class FluidFlow:
             return
         sim = self.sim
         self._advance(sim.now, inclusive or not sim._running)
-
-    def interval_reprogrammed(self, interval: float) -> None:
-        """A VTEITR write is about to land (the register hook calls
-        this *before* ``set_interval``).  The open window replays
-        first, under the outgoing interval — the one its virtual fires
-        ran with in the exact engine; adaptive sample ticks already
-        settled strictly, so for them this is a no-op.  Future replayed
-        ``request``\\ s read the throttle live and pick up the new value
-        automatically — but a window shorter than the collapse floor
-        (see ``MIN_TICKS_PER_WINDOW``) leaves the fast path *now*,
-        while the exact and collapsed timelines still agree."""
-        if not self.active:
-            return
-        self.settle_strict()
-        if not self.active:
-            return
-        if interval < self._min_window * self.stream.burst_interval:
-            self.decollapse()
 
     # ------------------------------------------------------------------
     # leaving the fast path
@@ -929,7 +897,6 @@ class FluidTxFlow(FluidFlow):
     by ``(time, virtual seq)`` in one inline three-way loop.
     """
 
-    _min_window = 0.0
     #: PCIe crossings booked per transmitted packet.
     _crossings = 1
     #: Whether an inbound record crosses the port's wire and books its

@@ -58,6 +58,53 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match=field):
             Scenario(mode="sriov", vm_count=1, ports=1, **{field: value})
 
+    @pytest.mark.parametrize("mode, field, value", [
+        ("sriov", "vm_count", 0), ("sriov", "vm_count", -1),
+        ("sriov", "ports", 0), ("sriov", "vfs_per_port", 0),
+        ("intervm", "message_bytes", 0),
+        ("sriov", "offered_bps", float("nan")),
+        ("sriov", "offered_bps", float("inf")),
+        ("sriov", "offered_bps", -1.0), ("sriov", "offered_bps", 0),
+        ("migrate", "start_at", float("nan")),
+        ("migrate", "start_at", float("inf")),
+    ])
+    def test_bad_sizes_and_rates_rejected(self, mode, field, value):
+        with pytest.raises(ValueError, match=field):
+            Scenario(mode=mode, **{field: value})
+
+    @pytest.mark.parametrize("policy, match", [
+        ({"kind": "fixed_itr", "hz": float("nan")}, "hz"),
+        ({"kind": "fixed_itr", "hz": float("inf")}, "hz"),
+        ({"kind": "fixed_itr"}, "hz"),
+        ({"kind": "fixed_itr", "hz": 2000, "hx": 1}, "hx"),
+        ({"kind": "dynamic_itr", "target": float("nan")}, "target"),
+        ({"kind": "warp"}, "warp"),
+    ])
+    def test_bad_policy_fails_at_construction(self, policy, match):
+        with pytest.raises(ValueError, match=match):
+            Scenario(mode="sriov", policy=policy)
+
+    @pytest.mark.parametrize("fabric, flow_bps, match", [
+        ({"latency_s": float("nan")}, 400e6, "latency_s"),
+        ({"latency_s": float("inf")}, 400e6, "latency_s"),
+        ({"uplink_gbps": float("nan")}, 400e6, "uplink_gbps"),
+        ({"uplink_gbps": float("inf")}, 400e6, "uplink_gbps"),
+        (None, float("nan"), "offered_bps"),
+        (None, float("inf"), "offered_bps"),
+    ])
+    def test_bad_cluster_rates_rejected(self, fabric, flow_bps, match):
+        hosts = [{"name": "a", "vm_count": 1}, {"name": "b", "vm_count": 1}]
+        flows = [{"src_host": "a", "dst_host": "b", "offered_bps": flow_bps}]
+        with pytest.raises(ValueError, match=match):
+            Scenario(mode="cluster", hosts=hosts, fabric=fabric, flows=flows)
+
+    def test_bad_host_policy_fails_at_construction(self):
+        hosts = [{"name": "a", "vm_count": 1,
+                  "policy": {"kind": "fixed_itr", "hz": float("nan")}},
+                 {"name": "b", "vm_count": 1}]
+        with pytest.raises(ValueError, match="hz"):
+            Scenario(mode="cluster", hosts=hosts)
+
 
 class TestScenarioFaults:
     def test_faults_normalized_at_construction(self):

@@ -1,18 +1,14 @@
-"""PacketPool: deterministic sequences and burst recycling.
+"""PacketPool: deterministic, per-run packet sequences.
 
-The pool exists for two reasons the hot path cares about:
-
-* **Determinism** — every testbed owns its own pool, so packet
-  sequence numbers restart at 0 per run and a (scenario, seed) pair
-  replays with identical seqs within one process, independent of what
-  ran before it.  Without a pool, packets draw from a module-global
-  sequence that any earlier run advances.
-* **Allocation reuse** — the SR-IOV RX path returns fully-consumed
-  packets at the end of the ISR; the pool hands their storage back out
-  to the generator instead of allocating fresh objects.
+Every testbed owns its own pool, so packet sequence numbers restart at
+0 per run and a (scenario, seed) pair replays with identical seqs
+within one process, independent of what ran before it.  Without a
+pool, packets draw from a module-global sequence that any earlier run
+advances.  The pool hands out fresh packets only; nothing is ever
+returned to it.
 """
 
-from repro.core.testbed import Testbed, TestbedConfig
+from repro.core.testbed import Testbed
 from repro.net.mac import MacAddress
 from repro.net.packet import DEFAULT_MTU, Packet, PacketPool, Protocol
 
@@ -48,30 +44,6 @@ def test_acquire_burst_initializes_every_field():
     assert packet.protocol is Protocol.TCP
     assert packet.flow_id == 3
     assert packet.created_at == 1.5
-
-
-def test_release_recycles_storage_but_never_seq_numbers():
-    pool = PacketPool()
-    burst = pool.acquire_burst(4, SRC, DST)
-    ids = {id(p) for p in burst}
-    pool.release(burst)
-    del burst
-    again = pool.acquire_burst(4, SRC, DST)
-    # Same storage, fresh identities: seqs continue, fields rewritten.
-    assert {id(p) for p in again} <= ids
-    assert [p.seq for p in again] == [4, 5, 6, 7]
-
-
-def test_release_skips_packets_something_else_still_references():
-    pool = PacketPool()
-    burst = pool.acquire_burst(3, SRC, DST)
-    keeper = burst[1]
-    pool.release(burst)
-    del burst
-    fresh = pool.acquire_burst(3, SRC, DST)
-    # The externally-held packet must not have been recycled.
-    assert keeper.seq == 1
-    assert all(p is not keeper for p in fresh)
 
 
 def _deliveries_for_one_run():
@@ -116,35 +88,3 @@ def test_default_mtu_burst_matches_loose_packets():
         assert a.size_bytes == b.size_bytes
         assert a.protocol is b.protocol
         assert a.vlan == b.vlan
-
-
-class _CountingFreeList(list):
-    """A pool free list that counts the packets taken back off it."""
-
-    pops = 0
-
-    def pop(self, *args):
-        self.pops += 1
-        return super().pop(*args)
-
-
-def test_sriov_rx_path_recycles_nearly_every_packet():
-    """The VF ISR hands consumed packets back to the pool.
-
-    ``release`` pools a packet only when nothing else references it, so
-    a reference left behind in the RX ring's packet array or in NAPI's
-    poll chunks silently turns every acquisition into a fresh
-    allocation.  Results stay identical either way; only this count
-    sees it.
-    """
-    bed = Testbed(TestbedConfig(ports=1, sim_mode="exact"))
-    free = _CountingFreeList()
-    bed.packet_pool._free = free
-    guest = bed.add_sriov_guest(name="vm0")
-    bed.attach_client_to_sriov(guest, 900e6).start()
-    bed.sim.run(until=0.02)
-    acquired = bed.packet_pool.acquired
-    fresh = acquired - free.pops
-    assert acquired > 1000
-    # Fresh objects only fill the pipeline (in flight plus one batch).
-    assert fresh <= 100

@@ -11,10 +11,11 @@ to the exact path.  These tests pin both halves:
   fig. 13 inter-VM loopback shapes and shared-port multi-stream runs;
 * the event identity ``events_executed + collapsed_events ==
   exact.events_executed`` (the collapse skips dispatch, never work);
-* exact fallbacks (faults, a sub-window ITR interval, a 2.6.18 guest,
-  a mid-run rate change, a joiner started inside an event at a member's
-  tick instant) that decollapse or never attach, with results still
-  identical;
+* exact fallbacks (faults, a 2.6.18 guest, a mid-run rate change, a
+  joiner started inside an event at a member's tick instant) that
+  decollapse or never attach, with results still identical;
+* full collapse, at any ITR window length, of the fig. 15/16 scaling
+  points beyond 10 VMs and the 2.6.28 dynamic-ITR shapes;
 * shared ports whose streams differ in rate or join mid-run, collapsed
   and still identical (a property over generated joins and cuts);
 * the exact mode's own event stream is untouched (the golden digest of
@@ -23,6 +24,7 @@ to the exact path.  These tests pin both halves:
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +32,8 @@ from repro.api import Scenario, _dispatch
 from repro.core.costs import CostModel
 from repro.core.experiment import ExperimentRunner
 from repro.core.testbed import Testbed, TestbedConfig
-from repro.drivers.coalescing import AdaptiveCoalescing, FixedItr
+from repro.drivers.coalescing import AdaptiveCoalescing, DynamicItr, FixedItr
+from repro.vmm.domain import GuestKernel
 
 
 def _run(scenario: Scenario):
@@ -48,10 +51,8 @@ def _run(scenario: Scenario):
 def _assert_equivalent(base: Scenario, expect_collapsed=True):
     """Run ``base`` in both modes and assert byte-identity.
 
-    ``expect_collapsed``: True — the fast path must engage; False — it
-    must not (exact fallback); None — either is fine (the run merely
-    has to be equivalent, used for randomized configs where gate
-    eligibility depends on the draw).
+    ``expect_collapsed``: True — the fast path must engage; "all" —
+    every event must collapse; False — it must not (exact fallback).
     """
     exact, exact_events, exact_collapsed = _run(base)
     fluid, fluid_events, fluid_collapsed = _run(base.with_(sim_mode="fluid"))
@@ -60,6 +61,8 @@ def _assert_equivalent(base: Scenario, expect_collapsed=True):
     assert fluid_events + fluid_collapsed == exact_events
     if expect_collapsed is True:
         assert fluid_collapsed > 0
+    elif expect_collapsed == "all":
+        assert fluid_events == 0
     elif expect_collapsed is False:
         assert fluid_collapsed == 0
     return exact, fluid
@@ -113,39 +116,29 @@ class TestSteadyStateEquivalence:
                 seed=rng.randint(0, 2**16),
                 warmup=0.05, duration=0.05,
             )
-            # Gate eligibility depends on the draw (a fast stream with
-            # a fast timer can fail the min-ticks-per-window gate);
-            # byte-identity is required either way.
-            _assert_equivalent(scenario, expect_collapsed=None)
+            # No gate depends on the ITR window's length, so every
+            # draw must collapse.
+            _assert_equivalent(scenario)
+
+    @pytest.mark.parametrize("kind", ["hvm", "pvm"])
+    @pytest.mark.parametrize("vm_count", [20, 40, 60])
+    def test_fig15_16_scaling_point_collapses_fully(self, kind, vm_count):
+        # Beyond 10 VMs several line-share streams share each port.
+        _assert_equivalent(
+            Scenario(mode="sriov", kind=kind, policy=FIXED_2K,
+                     vm_count=vm_count, warmup=0.02, duration=0.02),
+            expect_collapsed="all")
 
 
 class TestExactFallbacks:
     """Ineligible runs must silently take the exact path — identical
     results, zero collapsed events."""
 
-    def test_dynamic_itr_short_interval_falls_back(self):
-        # DynamicItr opens at ~111 us, under MIN_TICKS_PER_WINDOW burst
-        # intervals at these rates: the per-flow itr_window gate (not a
-        # wholesale fallback) keeps every stream exact.
-        _assert_equivalent(
-            Scenario(mode="sriov", kind="hvm", policy={"kind": "dynamic_itr"},
-                     vm_count=2, warmup=0.05, duration=0.05),
-            expect_collapsed=False)
-
     def test_linux_2618_msi_masking_falls_back(self):
         _assert_equivalent(
             Scenario(mode="sriov", kind="hvm", kernel="2.6.18",
                      policy=FIXED_2K, vm_count=2, warmup=0.05,
                      duration=0.05),
-            expect_collapsed=False)
-
-    def test_shared_port_slow_streams_fall_back(self):
-        # Sharing a wire no longer forces exact by itself, but these
-        # line-share streams tick too slowly for the throttle window:
-        # each flow fails the itr_window gate individually.
-        _assert_equivalent(
-            Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
-                     vm_count=3, ports=1, warmup=0.05, duration=0.05),
             expect_collapsed=False)
 
     def test_faults_fall_back_wholesale(self):
@@ -183,6 +176,14 @@ class TestAdaptiveItrCollapse:
                      vm_count=1, ports=1, offered_bps=900e6,
                      warmup=0.05, duration=0.05))
 
+    def test_dynamic_itr_short_interval_collapses(self):
+        # The 2.6.28 shape of Figs. 7 and 12: DynamicItr opens at
+        # ~111 us, about one burst interval at these rates.
+        _assert_equivalent(
+            Scenario(mode="sriov", kind="hvm", policy={"kind": "dynamic_itr"},
+                     vm_count=10, opts={}, warmup=0.02, duration=0.02),
+            expect_collapsed="all")
+
     def test_fig09_aic_tcp_collapses(self):
         _assert_equivalent(
             Scenario(mode="sriov", kind="hvm", policy={"kind": "aic"},
@@ -211,9 +212,10 @@ class TestAdaptiveItrCollapse:
         assert fluid.fluid["collapsed_events"] > 0
         assert fluid.fluid["events_executed"] > 0  # the samples ran
 
-    def test_itr_write_below_window_decollapses(self):
-        # A guest reprogramming VTEITR under the window floor mid-run
-        # must push the flow off the fast path, seamlessly.
+    def test_short_itr_write_mid_run_stays_collapsed(self):
+        # A guest reprogramming VTEITR to a window shorter than a burst
+        # interval mid-run: the open window replays under the outgoing
+        # interval and the flow stays on the fast path.
         from repro.devices.igb_regs import REG_VTEITR_BASE
         snaps = {}
         for mode in ("exact", "fluid"):
@@ -221,11 +223,36 @@ class TestAdaptiveItrCollapse:
             bed.sim.run(until=0.0103)
             guest.vf.regs.write(REG_VTEITR_BASE, 50)  # 50 us interval
             bed.sim.run(until=0.02)
-            bed.settle_fluid()
             if mode == "fluid":
-                assert all(not f.active for f in bed.fluid_flows)
+                assert all(f.active for f in bed.fluid_flows)
+                # Materialize the ring cursors the collapse froze.
+                bed.fluid_flows[0].decollapse()
             snaps[mode] = _counters_snapshot(bed, guest, stream)
         assert snaps["fluid"] == snaps["exact"]
+
+    def test_dynamic_itr_sample_trajectory_is_float_identical(self):
+        # DynamicItr samples once a second; shortened here so several
+        # samples reprogram VTEITR while the flow is collapsed.
+        class FastSampling(DynamicItr):
+            sample_period = 5e-3
+
+        def run(mode):
+            bed = Testbed(TestbedConfig(ports=1, sim_mode=mode))
+            guest = bed.add_sriov_guest(name="vm0", policy=FastSampling())
+            stream = bed.attach_client_to_sriov(guest, 400e6)
+            stream.start()
+            intervals = []
+            for step in range(1, 9):
+                bed.sim.run(until=step * 5.2e-3)
+                intervals.append(guest.vf.throttle.interval)
+            if mode == "fluid":
+                assert all(f.active for f in bed.fluid_flows)
+                assert bed.sim.collapsed_events > 0
+                bed.fluid_flows[0].decollapse()
+            return intervals, _counters_snapshot(bed, guest, stream)
+        exact = run("exact")
+        assert len(set(exact[0])) > 1  # the samples moved the window
+        assert run("fluid") == exact
 
 
 class TestSharedPortCollapse:
@@ -243,6 +270,14 @@ class TestSharedPortCollapse:
             Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
                      vm_count=3, ports=1, offered_bps=900e6,
                      warmup=0.05, duration=0.05))
+
+    def test_shared_port_slow_streams_collapse(self):
+        # A third of the line each: a 2 kHz window spans fewer than
+        # three of their burst intervals, and every event collapses.
+        _assert_equivalent(
+            Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
+                     vm_count=3, ports=1, warmup=0.05, duration=0.05),
+            expect_collapsed="all")
 
     def test_shared_port_aic_collapses(self):
         _assert_equivalent(
@@ -565,11 +600,13 @@ class TestRejectionDiagnostics:
     def test_rejections_name_the_gate(self):
         runner = ExperimentRunner(duration=0.02, warmup=0.005,
                                   sim_mode="fluid")
-        # 300 Mb/s ticks too slowly for the 2 kHz window: itr_window.
+        # A 2.6.18 HVM guest masks MSI-X per interrupt, which the
+        # replayed ISR does not model: msi_mask_emulation.
         result = runner.run_sriov(vm_count=1, ports=1,
+                                  kernel=GuestKernel.LINUX_2_6_18,
                                   offered_bps_per_vm=300e6,
                                   policy=FIXED_2K)
-        assert result.fluid["rejections"] == {"itr_window": 1}
+        assert result.fluid["rejections"] == {"msi_mask_emulation": 1}
         assert result.fluid["collapsed_events"] == 0
 
     def test_collapsed_run_reports_diagnostics(self):
@@ -697,9 +734,7 @@ def _counters_snapshot(bed, guest, stream):
 
 
 def _one_guest_bed(sim_mode, rate=900e6):
-    # 900 Mb/s: fast enough that the flow passes the min-ticks-per-
-    # window gate against the default 2 kHz throttle (slower rates
-    # would silently stay exact and make the paired runs vacuous).
+    # The fluid run must collapse, or the paired runs would be vacuous.
     bed = Testbed(TestbedConfig(ports=1, sim_mode=sim_mode))
     guest = bed.add_sriov_guest(name="vm0")
     stream = bed.attach_client_to_sriov(guest, rate)
@@ -831,14 +866,6 @@ class TestEligibilityGates:
         assert not FluidFlow(bed, guest, stream).try_attach()
         stream.jitter = 0.0
         assert FluidFlow(bed, guest, stream).try_attach()
-
-    def test_slow_stream_never_attaches(self):
-        # A window must span MIN_TICKS_PER_WINDOW burst intervals; a
-        # 300 Mb/s stream against the default 2 kHz throttle does not.
-        bed = Testbed(TestbedConfig(ports=1, sim_mode="fluid"))
-        guest = bed.add_sriov_guest(name="vm0")
-        bed.attach_client_to_sriov(guest, 300e6).start()
-        assert not bed.fluid_flows
 
     def test_exact_mode_never_builds_flows(self):
         bed = Testbed(TestbedConfig(ports=1, sim_mode="exact"))
