@@ -40,6 +40,7 @@ from repro.core.experiment import (
 )
 from repro.core.optimizations import OptimizationConfig
 from repro.drivers.coalescing import policy_from_spec
+from repro.net.fabric import require_int
 from repro.net.packet import Protocol
 from repro.vmm.domain import DomainKind, GuestKernel
 
@@ -127,11 +128,11 @@ class Scenario:
     duration: float = DEFAULT_DURATION
     #: Simulation datapath: "exact" (per-packet events, the reference)
     #: or "fluid" (collapsed-window fast path, :mod:`repro.sim.fluid`).
-    #: Fluid runs are gated on producing byte-identical throughput
-    #: anchors; scenarios the fast path cannot prove equivalent fall
-    #: back to exact wholesale.  Part of the cache key when "fluid";
-    #: omitted from :meth:`to_dict` when "exact" so existing cache
-    #: keys never move.
+    #: Fluid results are byte-identical to exact: each flow either
+    #: collapses or stays exact under a named eligibility gate, counted
+    #: per gate in ``RunResult.fluid["rejections"]``.  Part of the
+    #: cache key when "fluid"; omitted from :meth:`to_dict` when
+    #: "exact" so existing cache keys never move.
     sim_mode: str = "exact"
     #: Declarative fault-injection plan: a list of spec dicts (see
     #: :mod:`repro.faults` and docs/faults.md).  None or empty means
@@ -193,9 +194,10 @@ class Scenario:
             raise ValueError(f"duration must be finite and > 0, "
                              f"not {self.duration!r}")
         for fname in ("vm_count", "ports", "vfs_per_port", "message_bytes"):
-            if not getattr(self, fname) >= 1:
-                raise ValueError(f"{fname} must be >= 1, "
-                                 f"not {getattr(self, fname)!r}")
+            value = getattr(self, fname)
+            require_int(fname, value)
+            if value < 1:
+                raise ValueError(f"{fname} must be >= 1, not {value!r}")
         if self.offered_bps is not None and not (
                 math.isfinite(self.offered_bps) and self.offered_bps > 0):
             raise ValueError(f"offered_bps must be None or finite and > 0, "
@@ -409,20 +411,6 @@ def run(scenario: Scenario, *, costs: Optional[CostModel] = None,
                               audit_context={"scenario": scenario.to_dict(),
                                              "seed": scenario.seed},
                               observer=observer)
-    return _dispatch(runner, scenario)
-
-
-def _dispatch(runner: ExperimentRunner, scenario: Scenario) -> RunResult:
-    """Route a scenario to the runner method its mode selects.
-
-    Split from :func:`run` so callers that need the runner afterwards
-    (the perf-benchmark harness reads ``runner.last_bed``) can supply
-    their own.
-    """
-    if scenario.mode == "cluster":
-        from repro.cluster import run_cluster
-        return run_cluster(scenario, costs=runner.costs,
-                           telemetry=runner.telemetry, audit=runner.audit)
     kind = _KINDS[scenario.kind]
     opts = (OptimizationConfig(**scenario.opts)
             if scenario.opts is not None else None)

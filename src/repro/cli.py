@@ -277,25 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "determines the scenario list "
                              "(default: %(default)s)")
 
-    bench = commands.add_parser(
-        "bench",
-        help="run the tracked perf benchmarks; emit BENCH_<n>.json")
-    bench.add_argument("--quick", action="store_true",
-                       help="smaller event counts and scenarios "
-                            "(CI perf-smoke scale)")
-    bench.add_argument("--label", default="",
-                       help="free-form label recorded in the document")
-    bench.add_argument("--out", default=None, metavar="FILE",
-                       help="output path (default: the next free "
-                            "BENCH_<n>.json in the current directory)")
-    bench.add_argument("--check", default=None, metavar="BASELINE.json",
-                       help="compare events/sec against a committed "
-                            "baseline; exit 1 on regression beyond "
-                            "--tolerance")
-    bench.add_argument("--tolerance", type=float, default=0.20,
-                       metavar="FRAC",
-                       help="allowed events/sec regression vs the "
-                            "baseline (default: %(default)s)")
     return parser
 
 
@@ -370,12 +351,23 @@ def _wants_telemetry(args) -> bool:
 
 
 def _export_observability(args, telemetry, profiler, elapsed: float) -> None:
-    """Write --metrics-json / --trace-out and print --profile output."""
+    """Write --metrics-json / --trace-out and print --profile output.
+
+    The results are on stdout by now; an unwritable path ends the
+    command with one line naming the flag and the path."""
+    def export(flag, write, path, *rest):
+        try:
+            return write(path, *rest)
+        except OSError as exc:
+            raise SystemExit(f"{flag}: cannot write {path}: "
+                             f"{exc.strerror or exc}")
+
     if args.metrics_json and telemetry is not None:
-        telemetry.write_metrics(args.metrics_json, elapsed)
+        export("--metrics-json", telemetry.write_metrics, args.metrics_json,
+               elapsed)
         print(f"metrics    : wrote {args.metrics_json}", file=sys.stderr)
     if args.trace_out and telemetry is not None:
-        fmt = telemetry.write_trace(args.trace_out)
+        fmt = export("--trace-out", telemetry.write_trace, args.trace_out)
         print(f"trace      : wrote {args.trace_out} ({fmt})",
               file=sys.stderr)
     if getattr(args, "profile", False) and profiler is not None:
@@ -453,8 +445,6 @@ def run_cli(argv: Optional[List[str]] = None) -> int:
         return _run_faults(args)
     if args.command == "report":
         return _run_report(args)
-    if args.command == "bench":
-        return _run_bench(args)
     if args.command == "cluster":
         return _run_cluster(args)
     result = run(_scenario_for(args), telemetry=_wants_telemetry(args),
@@ -515,9 +505,9 @@ def _run_cluster(args) -> int:
     print_result(result)
     _print_fluid(result)
     cluster = result.extras["cluster"]
-    # The events column counts simulated work, executed plus collapsed
-    # (the bench harness's convention) — so a fluid run's stdout stays
-    # byte-identical to exact; the collapse split is the stderr line.
+    # The events column counts simulated work, executed plus collapsed,
+    # so a fluid run's stdout stays byte-identical to exact; the
+    # collapse split is the stderr line.
     collapsed_by_host = (getattr(result, "fluid", None)
                          or {}).get("collapsed_by_host") or {}
     rows = [[name, host["vm_count"], host["throughput_bps"] / 1e9,
@@ -537,9 +527,7 @@ def _run_cluster(args) -> int:
           f"{cluster['sync_windows']} sync windows "
           f"({'process' if args.process_hosts else 'in-process'} hosts)",
           file=sys.stderr)
-    if args.metrics_json and result.telemetry is not None:
-        result.telemetry.write_metrics(args.metrics_json, result.duration)
-        print(f"metrics    : wrote {args.metrics_json}", file=sys.stderr)
+    _export_observability(args, result.telemetry, None, result.duration)
     return 0
 
 
@@ -660,31 +648,6 @@ def _run_figures(args) -> int:
     print(f"\nwrote {len(names)} artifacts to {args.out_dir}/",
           file=sys.stderr)
     return _finish_campaign(stats, hub)
-
-
-def _run_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.bench import (compare, load_bench, next_bench_path,
-                             run_bench, write_bench)
-
-    doc = run_bench(quick=args.quick, label=args.label, progress=_say)
-    out = Path(args.out) if args.out else next_bench_path(Path.cwd())
-    write_bench(doc, out)
-    print(f"wrote {out}", file=sys.stderr)
-    if args.check is None:
-        return 0
-    baseline = load_bench(Path(args.check))
-    regressions, lines = compare(baseline, doc, tolerance=args.tolerance)
-    print(f"baseline: {args.check} ({baseline.get('label') or 'unlabeled'})")
-    for line in lines:
-        print(f"  {line}")
-    if regressions:
-        for regression in regressions:
-            print(f"REGRESSION: {regression}", file=sys.stderr)
-        return 1
-    print(f"no events/sec regression beyond {args.tolerance:.0%}")
-    return 0
 
 
 def _run_report(args) -> int:

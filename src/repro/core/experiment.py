@@ -215,10 +215,6 @@ class ExperimentRunner:
         #: Testbed-construction hook (see ``TestbedConfig.observer``);
         #: observation-only, installed into every testbed built.
         self.observer = observer
-        #: The most recent testbed measured by :meth:`_measure`; the
-        #: perf-benchmark harness reads ``last_bed.sim.events_executed``
-        #: to turn a scenario's wall-clock into events/sec.
-        self.last_bed: Optional[Testbed] = None
 
     def _config(self, **kwargs) -> TestbedConfig:
         """A TestbedConfig carrying the runner's costs and telemetry
@@ -676,7 +672,6 @@ class ExperimentRunner:
     # the measurement loop
     # ------------------------------------------------------------------
     def _measure(self, bed: Testbed, apps, drivers) -> RunResult:
-        self.last_bed = bed
         sim = bed.sim
         sim.run(until=sim.now + self.warmup)
         # Warmup-era virtual events must charge *before* the accounting

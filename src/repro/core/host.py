@@ -29,6 +29,7 @@ from repro.core.costs import CostModel
 from repro.core.optimizations import OptimizationConfig
 from repro.core.testbed import SriovGuest, Testbed, TestbedConfig
 from repro.drivers.coalescing import AdaptiveCoalescing, policy_from_spec
+from repro.net.fabric import require_int
 from repro.net.link import Link
 from repro.net.mac import MacAddress
 from repro.net.netperf import NetperfStream
@@ -70,6 +71,8 @@ class HostSpec:
     def __post_init__(self):
         if not self.name:
             raise ValueError("host name must be non-empty")
+        for fname in ("vm_count", "ports", "vfs_per_port"):
+            require_int(f"host {self.name!r} {fname}", getattr(self, fname))
         if self.vm_count < 1:
             raise ValueError(f"host {self.name!r} needs at least one VM")
         if self.ports < 1 or self.vfs_per_port < 1:
@@ -133,6 +136,8 @@ class FlowSpec:
     def __post_init__(self):
         if not self.src_host or not self.dst_host:
             raise ValueError("flow src_host and dst_host must be non-empty")
+        for fname in ("src_vm", "dst_vm", "message_bytes"):
+            require_int(f"flow {fname}", getattr(self, fname))
         if self.src_vm < 0 or self.dst_vm < 0:
             raise ValueError("flow VM indexes must be non-negative")
         if not (math.isfinite(self.offered_bps) and self.offered_bps > 0):

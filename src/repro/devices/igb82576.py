@@ -269,7 +269,7 @@ class _NetFunction:
         """
         if not self.enabled:
             return 0
-        sent = 0
+        sent = sent_bytes = backlog_drops = 0
         for packet in burst:
             if not self.port.switch.check_transmit(self.function_index, packet):
                 self.tx_spoof_drops += 1
@@ -278,12 +278,22 @@ class _NetFunction:
                 self.tx_rate_limited_drops += 1
                 continue
             if not self.port.route_transmit(self, packet):
-                self.tx_backlog_drops += 1
+                backlog_drops += 1
                 continue
-            self.tx_packets += 1
-            self.tx_bytes += packet.size_bytes
             sent += 1
+            sent_bytes += packet.size_bytes
+        self.account_tx(sent, sent_bytes, backlog_drops)
         return sent
+
+    def account_tx(self, sent: int, sent_bytes: int,
+                   backlog_drops: int) -> None:
+        """Transmit statistics: ``sent`` packets (``sent_bytes`` in all)
+        handed to the wire or the internal switch, ``backlog_drops``
+        refused by it.  Booked per burst, or per tick by the fluid
+        datapath."""
+        self.tx_packets += sent
+        self.tx_bytes += sent_bytes
+        self.tx_backlog_drops += backlog_drops
 
     def _tx_rate_allows(self, size_bytes: int) -> bool:
         """The per-pool transmit rate limiter (a token bucket refilled

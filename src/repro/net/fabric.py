@@ -35,6 +35,14 @@ DEFAULT_LATENCY_S = 5e-6
 DEFAULT_QUEUE_FRAMES = 256
 
 
+def require_int(field: str, value: object) -> None:
+    """Reject a spec count that is not an ``int`` (a ``bool`` is not a
+    count): ``2.5`` would fail only at run time, in a pool worker, and
+    ``1.0`` or ``True`` would run under a cache key of their own."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an int, not {value!r}")
+
+
 @dataclass(frozen=True)
 class FabricSpec:
     """Declarative fabric description (the ``Scenario.fabric`` field).
@@ -56,6 +64,7 @@ class FabricSpec:
                 "fabric latency_s must be finite and > 0: it is the "
                 "conservative synchronization lookahead between host "
                 f"engines (got {self.latency_s!r})")
+        require_int("fabric queue_frames", self.queue_frames)
         if self.queue_frames < 1:
             raise ValueError("fabric queue_frames must be at least 1")
 
@@ -66,7 +75,7 @@ class FabricSpec:
     def to_dict(self) -> Dict[str, object]:
         return {"uplink_gbps": float(self.uplink_gbps),
                 "latency_s": float(self.latency_s),
-                "queue_frames": int(self.queue_frames)}
+                "queue_frames": self.queue_frames}
 
     @classmethod
     def from_dict(cls, data: Optional[Mapping]) -> "FabricSpec":

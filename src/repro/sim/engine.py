@@ -23,7 +23,9 @@ figure campaign, so this is the repro's wall clock):
 * Lazily-cancelled debris is compacted eagerly once it outnumbers the
   live events, so re-armed timers cannot accumulate.
 
-``BENCH_*.json`` (see ``repro bench``) tracks this path's events/sec.
+perfbench (``BENCHMARK.json``) measures this path inside real workloads:
+a traced run reports ``sim.engine.ns_per_event``, the engine's self
+time per executed event.
 """
 
 from __future__ import annotations

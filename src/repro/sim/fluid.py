@@ -1117,15 +1117,12 @@ class FluidLoopbackFlow(FluidTxFlow):
         finishes: List[float] = []
         passed = self._tx_burst(count, tick_time, finishes)
         if passed is not None:
-            tx = self.tx
             if passed:
                 self.port.internal_loopback_packets += passed
                 self._queue_inbound(finishes, [tick_time] * passed,
                                     [1] * passed)
-                tx.tx_packets += passed
-                tx.tx_bytes += passed * self.stream.mtu
-            if passed < count:
-                tx.tx_backlog_drops += count - passed
+            self.tx.account_tx(passed, passed * self.stream.mtu,
+                               count - passed)
         # The reschedule runs after the sink, so the next tick handle's
         # virtual seq postdates this tick's completions.
         self._tick_seq = next(self._seqs)

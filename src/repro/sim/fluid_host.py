@@ -355,7 +355,6 @@ class FluidHostFlow(FluidTxFlow):
         if passed is not None:
             # Past the drop, the DMA crossing and the wire counter are
             # booked even if the line queue tail-drops.
-            vf = self.vf
             self.port.wire_tx_packets += passed
             if passed_ahead is None:
                 sent, queued, link_drops, tx_free = (
@@ -366,11 +365,7 @@ class FluidHostFlow(FluidTxFlow):
             link._queued += queued
             if link_drops:
                 link.dropped.value += link_drops
-            if sent:
-                vf.tx_packets += sent
-                vf.tx_bytes += sent * stream.mtu
-            if count - sent:
-                vf.tx_backlog_drops += count - sent
+            self.vf.account_tx(sent, sent * stream.mtu, count - sent)
         else:
             passed = 0
         if passed_ahead is None:

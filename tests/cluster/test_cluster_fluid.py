@@ -195,7 +195,7 @@ _FAULT_DURATION = 0.1
 _FAULT_AT = 0.08  # mid-measurement, far from any window boundary
 
 
-def _drive_cluster(sim_mode, fault_at=None):
+def _drive_cluster(sim_mode, fault_at=None, offered_bps=400e6):
     """run_cluster's core loop, with an optional device reset armed on
     host a's guest before the clock starts."""
     specs = [HostSpec.from_dict(h, i) for i, h in enumerate(
@@ -216,7 +216,7 @@ def _drive_cluster(sim_mode, fault_at=None):
     for src, dst in ((0, 1), (1, 0)):
         runners[src].configure_flows([{
             "src_vm": 0, "dst_mac": tables[dst][0],
-            "offered_bps": 400e6, "message_bytes": 1500,
+            "offered_bps": offered_bps, "message_bytes": 1500,
             "protocol": "udp", "flow_id": src + 1}])
     target = runners[0].host.bed.sriov_guests[0].driver
     if fault_at is not None:
@@ -246,6 +246,32 @@ def _normalize_hosts(results) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _device_state(runners) -> dict:
+    """Per host: the VF's TX statistics, the port's wire counters, the
+    uplink link's counters and queue, the DMA engine's busy horizon
+    and the host's uplink frame count."""
+    state = {}
+    for runner in runners:
+        host = runner.host
+        guest = host.guests[0]
+        port, vf, link = guest.port, guest.vf, guest.port.uplink
+        state[host.spec.name] = {
+            "tx_packets": vf.tx_packets,
+            "tx_bytes": vf.tx_bytes,
+            "tx_backlog_drops": vf.tx_backlog_drops,
+            "wire_tx_packets": port.wire_tx_packets,
+            "wire_rx_packets": port.wire_rx_packets,
+            "link_delivered": link.delivered.value,
+            "link_delivered_bytes": link.delivered_bytes.value,
+            "link_dropped": link.dropped.value,
+            "link_queued": link._queued,
+            "link_tx_free_at": link._tx_free_at,
+            "dma_busy_until": port.datapath._busy_until,
+            "uplink_tx_frames": host.uplink_tx_frames,
+        }
+    return state
+
+
 class TestClusterFaultMidWindow:
     def test_device_reset_decollapses_and_stays_byte_identical(self):
         exact, _, exact_driver = _drive_cluster("exact",
@@ -270,6 +296,24 @@ class TestClusterFaultMidWindow:
             assert (fluid[name]["events_executed"]
                     + fluid[name]["events_collapsed"]
                     ) == exact[name]["events_executed"]
+
+    @pytest.mark.parametrize("offered_bps, fault_at", [
+        (400e6, _FAULT_AT),  # host a decollapses mid-window
+        (1.2e9, None),       # past line rate: every uplink tail-drops
+    ], ids=["device_reset", "uplink_tail_drop"])
+    def test_device_state_matches_exact(self, offered_bps, fault_at):
+        # A collapsed host keeps the device state "at the present" in a
+        # mirror of its own; the result dicts above do not read all of
+        # it, so compare the state itself.
+        _, exact_runners, _ = _drive_cluster("exact", fault_at, offered_bps)
+        fluid, fluid_runners, _ = _drive_cluster("fluid", fault_at,
+                                                 offered_bps)
+        exact_state = _device_state(exact_runners)
+        assert _device_state(fluid_runners) == exact_state
+        assert all(host["events_collapsed"] > 0 for host in fluid.values())
+        if fault_at is None:
+            assert all(state["link_dropped"] > 0
+                       for state in exact_state.values())
 
     def test_faultless_hand_driven_loop_matches_scenario_path(self):
         # Sanity for the harness itself: without the fault, the

@@ -67,6 +67,9 @@ class TestScenarioValidation:
         ("sriov", "offered_bps", -1.0), ("sriov", "offered_bps", 0),
         ("migrate", "start_at", float("nan")),
         ("migrate", "start_at", float("inf")),
+        ("sriov", "vm_count", 2.5), ("sriov", "vm_count", True),
+        ("sriov", "ports", "3"), ("sriov", "vfs_per_port", 7.0),
+        ("intervm", "message_bytes", 1500.5),
     ])
     def test_bad_sizes_and_rates_rejected(self, mode, field, value):
         with pytest.raises(ValueError, match=field):
@@ -96,6 +99,24 @@ class TestScenarioValidation:
         hosts = [{"name": "a", "vm_count": 1}, {"name": "b", "vm_count": 1}]
         flows = [{"src_host": "a", "dst_host": "b", "offered_bps": flow_bps}]
         with pytest.raises(ValueError, match=match):
+            Scenario(mode="cluster", hosts=hosts, fabric=fabric, flows=flows)
+
+    @pytest.mark.parametrize("spec, field, value", [
+        ("host", "vm_count", 1.0), ("host", "ports", True),
+        ("host", "vfs_per_port", "7"),
+        ("flow", "src_vm", True), ("flow", "dst_vm", 0.0),
+        ("flow", "message_bytes", 1500.5),
+        ("fabric", "queue_frames", 64.0),
+    ])
+    def test_bad_cluster_counts_rejected(self, spec, field, value):
+        # A count must be an int: a float or a bool would run (or fail
+        # at run time) under a cache key of its own.
+        hosts = [{"name": "a", "vm_count": 2}, {"name": "b", "vm_count": 2}]
+        flows = [{"src_host": "a", "dst_host": "b"}]
+        fabric = {}
+        target = {"host": hosts[0], "flow": flows[0], "fabric": fabric}[spec]
+        target[field] = value
+        with pytest.raises(ValueError, match=field):
             Scenario(mode="cluster", hosts=hosts, fabric=fabric, flows=flows)
 
     def test_bad_host_policy_fails_at_construction(self):

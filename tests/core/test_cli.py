@@ -162,6 +162,27 @@ class TestSmokeRuns:
         assert any(name.startswith("host.h1.")
                    for name in doc["metrics"])
 
+    @pytest.mark.parametrize("flag", ["--metrics-json", "--trace-out"])
+    def test_sriov_unwritable_export_exits_naming_the_path(
+            self, tmp_path, capsys, flag):
+        path = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--warmup", "0.01", "--duration", "0.01", "sriov",
+                     "--vms", "1", "--ports", "1", flag, path])
+        assert str(exc.value).startswith(f"{flag}: cannot write {path}")
+        assert "throughput" in capsys.readouterr().out
+
+    def test_cluster_unwritable_metrics_exits_naming_the_path(
+            self, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "m.json")
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["--warmup", "0.01", "--duration", "0.01", "cluster",
+                     "--hosts", "2", "--vms-per-host", "1",
+                     "--metrics-json", path])
+        assert str(exc.value).startswith(f"--metrics-json: cannot write "
+                                         f"{path}")
+        assert "per-host" in capsys.readouterr().out
+
     def test_cluster_rejects_single_host_observability(self):
         for flag in (["--trace-out", "t.jsonl"], ["--profile"],
                      ["--audit-interval", "0.1"]):

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import Scenario, _dispatch
+from repro.api import Scenario, run
 from repro.core.costs import CostModel
 from repro.core.experiment import ExperimentRunner
 from repro.core.testbed import Testbed, TestbedConfig
@@ -37,13 +37,9 @@ from repro.vmm.domain import GuestKernel
 
 
 def _run(scenario: Scenario):
-    runner = ExperimentRunner(warmup=scenario.warmup,
-                              duration=scenario.duration,
-                              seed=scenario.seed,
-                              faults=scenario.faults,
-                              sim_mode=scenario.sim_mode)
-    result = _dispatch(runner, scenario)
-    bed = runner.last_bed
+    beds = []
+    result = run(scenario, observer=beds.append)
+    (bed,) = beds
     return (result.to_dict(), bed.sim.events_executed,
             bed.sim.collapsed_events)
 
@@ -97,8 +93,8 @@ class TestSteadyStateEquivalence:
         exact, fluid = _assert_equivalent(
             Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
                      vm_count=2, warmup=0.1, duration=0.1))
-        # The gate the bench regression check applies: exact float
-        # equality of the throughput anchor, not a tolerance.
+        # The throughput anchor is compared by exact float equality,
+        # not a tolerance.
         assert fluid["throughput_bps"] == exact["throughput_bps"]
         assert fluid["interrupt_hz"] == exact["interrupt_hz"]
         assert fluid["latency_mean"] == exact["latency_mean"]
@@ -148,10 +144,7 @@ class TestExactFallbacks:
                                     "port": 0, "duration": 0.005}])
         _assert_equivalent(faulted, expect_collapsed=False)
         # Not silent: every stream names the gate that kept it exact.
-        runner = ExperimentRunner(warmup=faulted.warmup,
-                                  duration=faulted.duration,
-                                  faults=faulted.faults, sim_mode="fluid")
-        result = _dispatch(runner, faulted)
+        result = run(faulted.with_(sim_mode="fluid"))
         assert result.fluid["rejections"] == {"faults": 2}
         assert result.fluid["collapsed_events"] == 0
         assert result.fluid["flows"] == 0
@@ -196,17 +189,19 @@ class TestAdaptiveItrCollapse:
         # between collapsed windows, reads counters the replay must
         # already have settled, and reprograms VTEITR through the
         # fluid listener.
-        def run(mode):
+        def run_mode(mode):
+            beds = []
             runner = ExperimentRunner(
                 duration=0.05, warmup=0.005, sim_mode=mode,
-                costs=CostModel(aic_sample_period=5e-3))
+                costs=CostModel(aic_sample_period=5e-3),
+                observer=beds.append)
             result = runner.run_sriov(vm_count=1, ports=1,
                                       offered_bps_per_vm=900e6,
                                       policy={"kind": "aic"})
-            guest = runner.last_bed.sriov_guests[0]
+            guest = beds[0].sriov_guests[0]
             return result, guest.vf.throttle.interval
-        exact, exact_interval = run("exact")
-        fluid, fluid_interval = run("fluid")
+        exact, exact_interval = run_mode("exact")
+        fluid, fluid_interval = run_mode("fluid")
         assert fluid.to_dict() == exact.to_dict()
         assert fluid_interval == exact_interval  # the AIC trajectory
         assert fluid.fluid["collapsed_events"] > 0
@@ -684,14 +679,14 @@ class TestLapicBusy:
         base = Scenario(mode="sriov", kind="hvm", policy=FIXED_2K,
                         vm_count=2, warmup=0.02, duration=0.03)
         exact, _events, _collapsed = _run(base)
-        runner = ExperimentRunner(warmup=base.warmup,
-                                  duration=base.duration, sim_mode="fluid")
-        fluid = _dispatch(runner, base)
+        beds = []
+        fluid = run(base.with_(sim_mode="fluid"), observer=beds.append)
+        (bed,) = beds
         assert fluid.to_dict() == exact
         # Collapsed until the settle point, exact after it.
         assert 0 < fluid.fluid["collapsed_events"]
-        assert not any(flow.active for flow in runner.last_bed.fluid_flows)
-        lapics = [guest.domain.lapic for guest in runner.last_bed.sriov_guests]
+        assert not any(flow.active for flow in bed.fluid_flows)
+        lapics = [guest.domain.lapic for guest in bed.sriov_guests]
         assert all(lapic.tpr == 0xF0 for lapic in lapics)
 
 
