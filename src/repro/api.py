@@ -198,6 +198,9 @@ class Scenario:
             require_int(fname, value)
             if value < 1:
                 raise ValueError(f"{fname} must be >= 1, not {value!r}")
+        # Part of the cache key: True, 7.5 or "3" would run under a key
+        # of its own.
+        require_int("seed", self.seed)
         if self.offered_bps is not None and not (
                 math.isfinite(self.offered_bps) and self.offered_bps > 0):
             raise ValueError(f"offered_bps must be None or finite and > 0, "

@@ -32,11 +32,7 @@ from bisect import bisect_left, bisect_right
 from typing import Dict, List, Optional
 
 from repro.core.costs import CostModel
-from repro.core.experiment import (
-    DEFAULT_DURATION,
-    DEFAULT_WARMUP,
-    RunResult,
-)
+from repro.core.experiment import RunResult, reduce_windows
 from repro.core.host import FlowSpec, Host, HostSpec
 from repro.net.fabric import FabricSpec, ToRSwitch
 from repro.sim.sync import LockstepBarrier
@@ -363,31 +359,6 @@ def run_cluster(scenario, *, costs: Optional[CostModel] = None,
 def _aggregate(scenario, host_results: List[dict], tor: ToRSwitch,
                coordinator: ClusterCoordinator, fabric: FabricSpec,
                telemetry_runners) -> RunResult:
-    elapsed = max(r["elapsed"] for r in host_results)
-    per_vm: List[float] = []
-    cpu: Dict[str, float] = {}
-    exit_cycles: Dict[str, float] = {}
-    exit_counts: Dict[str, int] = {}
-    offered = dropped = 0
-    interrupt_delta = driver_count = 0
-    latency_sum = 0.0
-    latency_count = 0
-    latency_p99 = 0.0
-    for result in host_results:
-        per_vm.extend(result["per_vm_throughput_bps"])
-        for account, percent in result["cpu"].items():
-            cpu[account] = cpu.get(account, 0.0) + percent
-        for kind, cycles in result["exit_cycles"].items():
-            exit_cycles[kind] = exit_cycles.get(kind, 0.0) + cycles
-        for kind, count in result["exit_counts"].items():
-            exit_counts[kind] = exit_counts.get(kind, 0) + count
-        offered += result["offered_packets"]
-        dropped += result["dropped_packets"]
-        interrupt_delta += result["interrupt_delta"]
-        driver_count += result["driver_count"]
-        latency_sum += result["latency_sum"]
-        latency_count += result["latency_count"]
-        latency_p99 = max(latency_p99, result["latency_p99"])
     from repro.audit import check_fabric_conservation
     check_fabric_conservation(
         tor, sim_time=max(r["elapsed"] for r in host_results))
@@ -404,8 +375,6 @@ def _aggregate(scenario, host_results: List[dict], tor: ToRSwitch,
             fault_totals[key] = fault_totals.get(key, 0) + value
     uplink_lost = (fault_totals.get("uplink_tx_dropped", 0)
                    + fault_totals.get("uplink_retransmit_pending", 0))
-    offered += fabric_lost + uplink_lost
-    dropped += fabric_lost + uplink_lost
     telemetry_facade = None
     if telemetry_runners is not None:
         hosts = [runner.host for runner in telemetry_runners]
@@ -459,22 +428,6 @@ def _aggregate(scenario, host_results: List[dict], tor: ToRSwitch,
                 fabric_counters.get("dropped_unreachable", 0),
             "hosts_crashed": len(coordinator.dead),
         }
-    return RunResult(
-        vm_count=len(per_vm),
-        duration=elapsed,
-        throughput_bps=sum(per_vm),
-        per_vm_throughput_bps=per_vm,
-        cpu=cpu,
-        loss_rate=dropped / offered if offered else 0.0,
-        interrupt_hz=(interrupt_delta / driver_count / elapsed
-                      if driver_count and elapsed > 0 else 0.0),
-        exit_cycles_per_second={kind: cycles / elapsed
-                                for kind, cycles in exit_cycles.items()
-                                if elapsed > 0},
-        exit_counts=exit_counts,
-        latency_mean=latency_sum / latency_count if latency_count else 0.0,
-        latency_p99=latency_p99,
-        extras=extras,
-        telemetry=telemetry_facade,
-        fluid=fluid,
-    )
+    return reduce_windows(host_results, fabric_lost + uplink_lost,
+                          extras=extras, telemetry=telemetry_facade,
+                          fluid=fluid)

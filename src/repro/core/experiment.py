@@ -151,6 +151,133 @@ class RunResult:
         )
 
 
+def _end_audit(bed: Testbed) -> None:
+    """The end-of-run invariant pass (a no-op when auditing is off)."""
+    if bed.auditor is not None:
+        bed.auditor.audit(phase="end")
+
+
+class MeasurementWindow:
+    """One testbed's measured window, from warm-up end to horizon.
+
+    Opening it settles the fluid flows, so warm-up virtual events
+    charge *before* the accounting reset exactly as their real
+    counterparts would have, then zeroes the platform's accounts and
+    the apps and notes each driver's interrupt count.  :meth:`close`
+    returns the window's plain sums and counts; :func:`reduce_windows`
+    turns one window (a single-host run) or one per host (a cluster)
+    into the :class:`RunResult`.
+    """
+
+    def __init__(self, bed: Testbed, apps: Sequence, drivers: Sequence):
+        self.bed = bed
+        self.apps = apps
+        self.drivers = drivers
+        bed.settle_fluid()
+        bed.platform.start_measurement()
+        for app in self.apps:
+            app.reset()
+        self._interrupts_before = [d.interrupts_handled
+                                   for d in self.drivers]
+
+    def close(self) -> Dict[str, object]:
+        """End the window and return its sums, plain data that crosses
+        a worker pipe and reduces exactly."""
+        bed = self.bed
+        # Collapsed flows catch up to the horizon before anything reads
+        # counters (a no-op outside sim_mode="fluid").
+        bed.settle_fluid()
+        elapsed = bed.platform.end_measurement()
+        _end_audit(bed)
+        apps = self.apps
+        per_vm = [app.throughput_bps(elapsed) for app in apps]
+        # Fig. 7's exit breakdown, read from the cycle ledger.  NativeHost
+        # has a ledger too, with no exit.* cells, so the native baseline
+        # reports empty.
+        exit_cycles: Dict[str, float] = {}
+        exit_counts: Dict[str, int] = {}
+        for kind, (count, cycles) in \
+                bed.platform.ledger.exit_breakdown().items():
+            if cycles > 0:
+                exit_cycles[kind] = cycles
+            if count:
+                exit_counts[kind] = count
+        return {
+            "vm_count": len(apps),
+            "elapsed": elapsed,
+            "throughput_bps": sum(per_vm),
+            "per_vm_throughput_bps": per_vm,
+            "cpu": bed.platform.utilization_breakdown(),
+            "offered_packets": sum(app.rx_packets + app.dropped_packets
+                                   for app in apps),
+            "dropped_packets": sum(app.dropped_packets for app in apps),
+            "interrupt_delta": sum(
+                driver.interrupts_handled - before for driver, before
+                in zip(self.drivers, self._interrupts_before)),
+            "driver_count": len(self.drivers),
+            "exit_cycles": exit_cycles,
+            "exit_counts": exit_counts,
+            "latency_sum": sum(app.latency.mean * app.latency.count
+                               for app in apps),
+            "latency_count": sum(app.latency.count for app in apps),
+            "latency_p99": max((app.latency.percentile(99) for app in apps
+                                if app.latency.count), default=0.0),
+        }
+
+
+def reduce_windows(windows: Sequence[Mapping], lost: int = 0,
+                   **fields) -> RunResult:
+    """One :class:`RunResult` from closed :class:`MeasurementWindow`
+    sums.
+
+    Rates divide by the longest window.  ``lost`` counts packets that
+    were offered but dropped before any guest's books (netback and VMDq
+    drops on one host; fabric and uplink drops in a cluster), so it
+    adds to both offered and dropped.  ``fields`` (``extras``,
+    ``telemetry``, ``profiler``, ``fluid``) pass through to the result.
+    """
+    elapsed = max(window["elapsed"] for window in windows)
+    per_vm: List[float] = []
+    cpu: Dict[str, float] = {}
+    exit_cycles: Dict[str, float] = {}
+    exit_counts: Dict[str, int] = {}
+    offered = dropped = lost
+    interrupt_delta = driver_count = latency_count = 0
+    latency_sum = latency_p99 = 0.0
+    for window in windows:
+        per_vm.extend(window["per_vm_throughput_bps"])
+        for account, percent in window["cpu"].items():
+            cpu[account] = cpu.get(account, 0.0) + percent
+        for kind, cycles in window["exit_cycles"].items():
+            exit_cycles[kind] = exit_cycles.get(kind, 0.0) + cycles
+        for kind, count in window["exit_counts"].items():
+            exit_counts[kind] = exit_counts.get(kind, 0) + count
+        offered += window["offered_packets"]
+        dropped += window["dropped_packets"]
+        interrupt_delta += window["interrupt_delta"]
+        driver_count += window["driver_count"]
+        latency_sum += window["latency_sum"]
+        latency_count += window["latency_count"]
+        latency_p99 = max(latency_p99, window["latency_p99"])
+    return RunResult(
+        vm_count=len(per_vm),
+        duration=elapsed,
+        throughput_bps=sum(per_vm),
+        per_vm_throughput_bps=per_vm,
+        cpu=cpu,
+        loss_rate=dropped / offered if offered else 0.0,
+        interrupt_hz=(interrupt_delta / driver_count / elapsed
+                      if driver_count and elapsed > 0 else 0.0),
+        exit_cycles_per_second={kind: cycles / elapsed
+                                for kind, cycles in exit_cycles.items()
+                                if elapsed > 0},
+        exit_counts=exit_counts,
+        latency_mean=latency_sum / latency_count if latency_count else 0.0,
+        latency_p99=latency_p99,
+        **fields,
+    )
+
+
 def steady_tcp_rate(policy: CoalescingPolicy, line_share_bps: float,
                     line_rate_bps: float = 1e9,
                     mtu: int = DEFAULT_MTU,
@@ -229,12 +356,6 @@ class ExperimentRunner:
         kwargs.setdefault("audit_context", self.audit_context)
         kwargs.setdefault("observer", self.observer)
         return TestbedConfig(**kwargs)
-
-    def _final_audit(self, bed: Testbed) -> None:
-        """The end-of-run invariant pass (no-op when auditing is off)."""
-        auditor = getattr(bed, "auditor", None)
-        if auditor is not None:
-            auditor.audit(phase="end")
 
     def _policy_callable(
         self,
@@ -360,7 +481,7 @@ class ExperimentRunner:
         delivered["payload_bytes"] = 0
         sim.run(until=sim.now + self.duration)
         elapsed = bed.platform.end_measurement()
-        self._final_audit(bed)
+        _end_audit(bed)
         throughput = (delivered["payload_bytes"] * 8 / elapsed
                       if elapsed > 0 else 0.0)
         offered = sum(g.vf.tx_packets + g.vf.tx_backlog_drops
@@ -613,7 +734,7 @@ class ExperimentRunner:
         bed.platform.start_measurement()
         bed.sim.run(until=horizon)
         elapsed = bed.platform.end_measurement()
-        self._final_audit(bed)
+        _end_audit(bed)
         throughput = app.rx_bytes * 8 / elapsed if elapsed > 0 else 0.0
         offered = app.rx_packets + app.dropped_packets
         migration = {
@@ -674,56 +795,14 @@ class ExperimentRunner:
     def _measure(self, bed: Testbed, apps, drivers) -> RunResult:
         sim = bed.sim
         sim.run(until=sim.now + self.warmup)
-        # Warmup-era virtual events must charge *before* the accounting
-        # reset, exactly as their real counterparts would have (a no-op
-        # outside sim_mode="fluid").
-        bed.settle_fluid()
-        bed.platform.start_measurement()
-        for app in apps:
-            app.reset()
-        interrupts_before = [d.interrupts_handled for d in drivers]
+        window = MeasurementWindow(bed, apps, drivers)
         sim.run(until=sim.now + self.duration)
-        # Collapsed flows catch up to the horizon before anything reads
-        # counters (a no-op outside sim_mode="fluid").
-        bed.settle_fluid()
-        elapsed = bed.platform.end_measurement()
-        self._final_audit(bed)
-        per_vm = [app.throughput_bps(elapsed) for app in apps]
-        offered = sum(app.rx_packets + app.dropped_packets for app in apps)
-        dropped = sum(app.dropped_packets for app in apps)
+        closed = window.close()
         # dom0-side drops (saturated copy threads) also count against
         # offered traffic.
-        if bed._netback is not None:
-            dropped += bed._netback.dropped_packets
-            offered += bed._netback.dropped_packets
-        if bed._vmdq_service is not None:
-            dropped += bed._vmdq_service.dropped_packets
-            offered += bed._vmdq_service.dropped_packets
-        cpu = bed.platform.utilization_breakdown()
-        interrupt_hz = 0.0
-        if drivers and elapsed > 0:
-            deltas = [d.interrupts_handled - before
-                      for d, before in zip(drivers, interrupts_before)]
-            interrupt_hz = sum(deltas) / len(deltas) / elapsed
-        # Fig. 7's exit breakdown, read from the cycle ledger (which
-        # reconciles exactly with the VmExitTracer — see
-        # tests/obs/test_reconcile.py).  NativeHost has a ledger too,
-        # with no exit.* entries, so the native baseline reports empty.
-        exit_rates: Dict[str, float] = {}
-        exit_counts: Dict[str, int] = {}
-        if elapsed > 0:
-            for kind, (count, cycles) in \
-                    bed.platform.ledger.exit_breakdown().items():
-                if cycles > 0:
-                    exit_rates[kind] = cycles / elapsed
-                if count:
-                    exit_counts[kind] = count
-        total_latency_samples = sum(app.latency.count for app in apps)
-        latency_mean = (sum(app.latency.mean * app.latency.count
-                            for app in apps) / total_latency_samples
-                        if total_latency_samples else 0.0)
-        latency_p99 = max((app.latency.percentile(99) for app in apps
-                           if app.latency.count), default=0.0)
+        lost = sum(service.dropped_packets
+                   for service in (bed._netback, bed._vmdq_service)
+                   if service is not None)
         extras: Dict[str, object] = {}
         if self.faults and bed.injector is not None:
             extras["faults"] = bed.injector.summary()
@@ -735,20 +814,6 @@ class ExperimentRunner:
                 "flows": len(bed.fluid_flows),
                 "rejections": dict(bed.fluid_rejections),
             }
-        return RunResult(
-            vm_count=len(apps),
-            duration=elapsed,
-            throughput_bps=sum(per_vm),
-            per_vm_throughput_bps=per_vm,
-            cpu=cpu,
-            loss_rate=dropped / offered if offered else 0.0,
-            interrupt_hz=interrupt_hz,
-            exit_cycles_per_second=exit_rates,
-            exit_counts=exit_counts,
-            latency_mean=latency_mean,
-            latency_p99=latency_p99,
-            extras=extras,
-            telemetry=bed.telemetry,
-            profiler=bed.profiler,
-            fluid=fluid,
-        )
+        return reduce_windows([closed], lost, extras=extras,
+                              telemetry=bed.telemetry,
+                              profiler=bed.profiler, fluid=fluid)

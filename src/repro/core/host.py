@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.costs import CostModel
+from repro.core.experiment import MeasurementWindow
 from repro.core.optimizations import OptimizationConfig
 from repro.core.testbed import SriovGuest, Testbed, TestbedConfig
 from repro.drivers.coalescing import AdaptiveCoalescing, policy_from_spec
@@ -253,7 +254,7 @@ class Host:
             from repro.faults.cluster import HostUplinkFaults
             self.fault_layer = HostUplinkFaults(
                 self.sim, spec.name, self.bed.ports, uplink_specs)
-        self._interrupts_before: List[int] = []
+        self._window: Optional[MeasurementWindow] = None
         self.uplink_tx_frames = 0
 
     # ------------------------------------------------------------------
@@ -539,59 +540,19 @@ class Host:
     # ------------------------------------------------------------------
     def start_measurement(self) -> None:
         # Collapsed flows settled at the last window end (advance is
-        # inclusive); this is the idempotent backstop that keeps the
-        # measurement boundary a settle point.
-        self.bed.settle_fluid()
-        self.bed.platform.start_measurement()
-        for guest in self.guests:
-            guest.app.reset()
-        self._interrupts_before = [guest.driver.interrupts_handled
-                                   for guest in self.guests]
+        # inclusive); the window's opening settle is the idempotent
+        # backstop that keeps the measurement boundary a settle point.
+        self._window = MeasurementWindow(
+            self.bed, [guest.app for guest in self.guests],
+            [guest.driver for guest in self.guests])
 
     def collect(self) -> dict:
-        """End the window and report this host's share of the result —
-        plain sums and counts, so the coordinator can aggregate exactly."""
-        self.bed.settle_fluid()
-        elapsed = self.bed.platform.end_measurement()
-        auditor = getattr(self.bed, "auditor", None)
-        if auditor is not None:
-            auditor.audit(phase="end")
-        apps = [guest.app for guest in self.guests]
-        per_vm = [app.throughput_bps(elapsed) for app in apps]
-        offered = sum(app.rx_packets + app.dropped_packets for app in apps)
-        dropped = sum(app.dropped_packets for app in apps)
-        interrupt_delta = sum(
-            guest.driver.interrupts_handled - before
-            for guest, before in zip(self.guests, self._interrupts_before))
-        exit_cycles: Dict[str, float] = {}
-        exit_counts: Dict[str, int] = {}
-        for kind, (count, cycles) in \
-                self.bed.platform.ledger.exit_breakdown().items():
-            if cycles > 0:
-                exit_cycles[kind] = cycles
-            if count:
-                exit_counts[kind] = count
-        latency_count = sum(app.latency.count for app in apps)
-        latency_sum = sum(app.latency.mean * app.latency.count
-                          for app in apps)
-        latency_p99 = max((app.latency.percentile(99) for app in apps
-                           if app.latency.count), default=0.0)
+        """End the window and report this host's share of the result:
+        plain sums the coordinator reduces with every other host's
+        (:func:`~repro.core.experiment.reduce_windows`)."""
         data = {
             "name": self.spec.name,
-            "vm_count": len(self.guests),
-            "elapsed": elapsed,
-            "throughput_bps": sum(per_vm),
-            "per_vm_throughput_bps": per_vm,
-            "cpu": self.bed.platform.utilization_breakdown(),
-            "offered_packets": offered,
-            "dropped_packets": dropped,
-            "interrupt_delta": interrupt_delta,
-            "driver_count": len(self.guests),
-            "exit_cycles": exit_cycles,
-            "exit_counts": exit_counts,
-            "latency_sum": latency_sum,
-            "latency_count": latency_count,
-            "latency_p99": latency_p99,
+            **self._window.close(),
             "uplink_tx_frames": self.uplink_tx_frames,
             "events_executed": self.sim.events_executed,
         }

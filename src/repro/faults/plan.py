@@ -81,6 +81,7 @@ keep the exact canonical JSON (and cache keys) they always had.
 from __future__ import annotations
 
 import difflib
+import math
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 
@@ -93,22 +94,52 @@ class FaultSpecError(ValueError):
 REQUIRED = object()
 
 
+def _number(value: object, field: str) -> float:
+    """A finite number, or a numeric string (``--fault`` values may
+    arrive as text).  A ``bool`` is not a number here, and NaN or
+    infinity would fail only at run time or in the cache key."""
+    if not isinstance(value, bool):
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            pass
+        else:
+            if math.isfinite(number):
+                return number
+    raise FaultSpecError(f"{field} must be a finite number, not {value!r}")
+
+
+def _integer(value: object, field: str) -> int:
+    """An ``int``, an integral float or an integer string.  ``True`` or
+    ``1.7`` must not normalize to 1."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise FaultSpecError(f"{field} must be an integer, not {value!r}")
+
+
 def _non_negative(value: object, field: str) -> float:
-    number = float(value)
+    number = _number(value, field)
     if number < 0:
         raise FaultSpecError(f"{field} must be >= 0, not {value!r}")
     return number
 
 
 def _positive(value: object, field: str) -> float:
-    number = float(value)
+    number = _number(value, field)
     if number <= 0:
         raise FaultSpecError(f"{field} must be > 0, not {value!r}")
     return number
 
 
 def _port(value: object, field: str) -> int:
-    number = int(value)
+    number = _integer(value, field)
     if number < 0:
         raise FaultSpecError(f"{field} must be a port index >= 0, "
                              f"not {value!r}")
@@ -118,7 +149,7 @@ def _port(value: object, field: str) -> int:
 def _vf(value: object, field: str) -> Optional[int]:
     if value is None:
         return None
-    number = int(value)
+    number = _integer(value, field)
     if number < 0:
         raise FaultSpecError(f"{field} must be a VF index >= 0 or null "
                              f"(= every VF), not {value!r}")
@@ -126,14 +157,14 @@ def _vf(value: object, field: str) -> Optional[int]:
 
 
 def _probability(value: object, field: str) -> float:
-    number = float(value)
+    number = _number(value, field)
     if not 0.0 < number <= 1.0:
         raise FaultSpecError(f"{field} must be in (0, 1], not {value!r}")
     return number
 
 
 def _count(value: object, field: str) -> int:
-    number = int(value)
+    number = _integer(value, field)
     if number <= 0:
         raise FaultSpecError(f"{field} must be a positive count, "
                              f"not {value!r}")
@@ -141,7 +172,7 @@ def _count(value: object, field: str) -> int:
 
 
 def _factor(value: object, field: str) -> float:
-    number = float(value)
+    number = _number(value, field)
     if number < 1.0:
         raise FaultSpecError(f"{field} must be >= 1.0 (a slowdown), "
                              f"not {value!r}")

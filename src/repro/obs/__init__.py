@@ -5,13 +5,12 @@ VM-exit breakdown of Fig. 7 and the per-second migration timelines of
 Figs. 20-21.  This package is the reproduction's equivalent layer:
 
 * :mod:`repro.obs.registry` — the hierarchical
-  :class:`MetricsRegistry`: components register Counter / Histogram /
-  TimeWeighted / Series instruments under dotted names, snapshot-able
-  to one deterministic JSON document.
+  :class:`MetricsRegistry`: components register Counter / Histogram
+  instruments and read-at-snapshot gauges under dotted names,
+  snapshot-able to one deterministic JSON document.
 * :mod:`repro.obs.ledger` — the :class:`CycleLedger`: every simulated
   cycle the cost model charges, attributed to a ``(domain, category)``
-  pair, reconciling exactly with the
-  :class:`~repro.vmm.vmexit.VmExitTracer`.
+  pair.  Its ``exit.*`` cells are the one book of VM exits (Fig. 7).
 * :mod:`repro.obs.export` — Tracer events and spans rendered as Chrome
   trace-event JSON (``chrome://tracing`` / Perfetto) or JSONL.
 * :mod:`repro.obs.profiler` — the opt-in host-side

@@ -200,7 +200,7 @@ class SnapshotEmitter:
         cycles_by_domain: Dict[str, float] = {}
         if telemetry is not None:
             try:
-                metrics = telemetry.registry.snapshot(telemetry.sim.now)
+                metrics = telemetry.registry.snapshot()
             except RuntimeError:  # pragma: no cover - defensive
                 metrics = {}
             ledger = getattr(telemetry.platform, "ledger", None)

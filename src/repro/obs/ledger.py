@@ -17,8 +17,10 @@ Category names are dotted and hierarchical, e.g.::
     migration.precopy         dom0 cycles moving pre-copy data
 
 ``exit.*`` categories mirror :class:`repro.vmm.vmexit.VmExitKind`
-values one-to-one, so ledger totals reconcile exactly with the
-:class:`~repro.vmm.vmexit.VmExitTracer` aggregate.
+values one-to-one.  The ledger is the one book of VM exits:
+:func:`repro.vmm.vmexit.charge_exits` books every exit the hypervisor
+services here, and :meth:`CycleLedger.exit_breakdown` is Fig. 7's
+instrument.
 """
 
 from __future__ import annotations

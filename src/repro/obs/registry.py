@@ -1,7 +1,7 @@
 """The metrics registry: every instrument, one namespace, one snapshot.
 
-Components register :class:`~repro.sim.stats.Counter`/:class:`Histogram`
-/:class:`TimeWeighted`/:class:`Series` instruments under dotted names
+Components register :class:`~repro.sim.stats.Counter` and
+:class:`~repro.sim.stats.Histogram` instruments under dotted names
 (``nic.port0.rx_pkts``, ``netback.thread3.batches``,
 ``guest.vm1.interrupts``) and the registry renders them all into one
 deterministic JSON document.  Existing ad-hoc component counters (plain
@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.sim.stats import Counter, Histogram, Series, TimeWeighted
+from repro.sim.stats import Counter, Histogram
 
 
 class MetricsError(ValueError):
@@ -42,14 +42,6 @@ class MetricsRegistry:
     def histogram(self, name: str, bin_width: float = 1e-5) -> Histogram:
         return self._register(name, "histogram",
                               lambda: Histogram(bin_width, name))
-
-    def time_weighted(self, name: str, initial: float = 0.0,
-                      start_time: float = 0.0) -> TimeWeighted:
-        return self._register(name, "time_weighted",
-                              lambda: TimeWeighted(initial, start_time))
-
-    def series(self, name: str) -> Series:
-        return self._register(name, "series", lambda: Series(name))
 
     def gauge(self, name: str, read: Callable[[], Any]) -> None:
         """Register a read-at-snapshot callback for an existing counter
@@ -91,25 +83,24 @@ class MetricsRegistry:
     def names(self) -> list:
         return sorted(self._instruments)
 
-    def snapshot(self, now: float = 0.0) -> Dict[str, dict]:
+    def snapshot(self) -> Dict[str, dict]:
         """``{name: {"type": ..., ...values...}}``, sorted by name.
 
-        ``now`` is the simulated time the snapshot represents, used to
-        close out time-weighted means.  The result contains only
-        deterministic simulation quantities — never host wall-clock —
-        so identical runs snapshot byte-identically.
+        The result contains only deterministic simulation quantities —
+        never host wall-clock — so identical runs snapshot
+        byte-identically.
         """
         out: Dict[str, dict] = {}
         for name in sorted(self._instruments):
             kind, instrument = self._instruments[name]
-            out[name] = self._render(kind, instrument, now)
+            out[name] = self._render(kind, instrument)
         return out
 
-    def to_json(self, now: float = 0.0) -> str:
-        return json.dumps(self.snapshot(now), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
     @staticmethod
-    def _render(kind: str, instrument: Any, now: float) -> dict:
+    def _render(kind: str, instrument: Any) -> dict:
         if kind == "counter":
             return {"type": "counter", "value": instrument.value}
         if kind == "gauge":
@@ -123,20 +114,6 @@ class MetricsRegistry:
             if instrument.count:
                 doc["p50"] = instrument.percentile(50)
                 doc["p99"] = instrument.percentile(99)
-            return doc
-        if kind == "time_weighted":
-            return {"type": "time_weighted",
-                    "current": instrument.current,
-                    "min": instrument.minimum,
-                    "max": instrument.maximum,
-                    "mean": instrument.mean(now)}
-        if kind == "series":
-            doc = {"type": "series"}
-            doc.update(instrument.summary(percentiles=(50, 99)))
-            if len(instrument):
-                doc["first_time"] = instrument.times[0]
-                doc["last_time"] = instrument.times[-1]
-                doc["last_value"] = instrument.values[-1]
             return doc
         raise MetricsError(f"unknown instrument kind {kind!r}")
 
@@ -156,14 +133,6 @@ class MetricsScope:
 
     def histogram(self, name: str, bin_width: float = 1e-5) -> Histogram:
         return self._registry.histogram(self._name(name), bin_width)
-
-    def time_weighted(self, name: str, initial: float = 0.0,
-                      start_time: float = 0.0) -> TimeWeighted:
-        return self._registry.time_weighted(self._name(name), initial,
-                                            start_time)
-
-    def series(self, name: str) -> Series:
-        return self._registry.series(self._name(name))
 
     def gauge(self, name: str, read: Callable[[], Any]) -> None:
         self._registry.gauge(self._name(name), read)
@@ -190,12 +159,6 @@ class _NullInstrument:
     def add(self, *args: Any, **kwargs: Any) -> None:
         pass
 
-    def record(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
-    def update(self, *args: Any, **kwargs: Any) -> None:
-        pass
-
     def reset(self, *args: Any, **kwargs: Any) -> None:
         pass
 
@@ -210,13 +173,6 @@ class NullRegistry:
         return _NullInstrument()
 
     def histogram(self, name: str, bin_width: float = 1e-5) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def time_weighted(self, name: str, initial: float = 0.0,
-                      start_time: float = 0.0) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def series(self, name: str) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def gauge(self, name: str, read: Callable[[], Any]) -> None:
@@ -237,10 +193,10 @@ class NullRegistry:
     def names(self) -> list:
         return []
 
-    def snapshot(self, now: float = 0.0) -> dict:
+    def snapshot(self) -> dict:
         return {}
 
-    def to_json(self, now: float = 0.0) -> str:
+    def to_json(self) -> str:
         return "{}"
 
 

@@ -138,7 +138,7 @@ class Telemetry:
         return {
             "schema": SCHEMA,
             "window": {"elapsed": elapsed, "sim_time_end": self.sim.now},
-            "metrics": self.registry.snapshot(self.sim.now),
+            "metrics": self.registry.snapshot(),
             "cycles": cycles,
             "exits": exits,
             "trace": {

@@ -7,7 +7,8 @@ the SR-IOV architecture adds or optimizes:
   routing, exit accounting) and :class:`NativeHost` (the bare-metal
   baseline).
 * :mod:`repro.vmm.domain` — domains, VCPUs, guest kernels.
-* :mod:`repro.vmm.vmexit` — the VM-exit tracer behind Fig. 7.
+* :mod:`repro.vmm.vmexit` — the VM-exit kinds behind Fig. 7, booked in
+  the hypervisor's cycle ledger.
 * :mod:`repro.vmm.virtual_lapic` — virtual LAPIC emulation with the
   §5.2 EOI acceleration.
 * :mod:`repro.vmm.device_model` — the dom0 user-level device model with
@@ -31,7 +32,7 @@ from repro.vmm.interrupts import VectorAllocator, VectorExhausted
 from repro.vmm.iovm import Iovm, IovmError, VfAssignment
 from repro.vmm.scheduler import PinningPolicy
 from repro.vmm.virtual_lapic import VirtualLapic
-from repro.vmm.vmexit import VmExitKind, VmExitTracer
+from repro.vmm.vmexit import VmExitKind
 
 __all__ = [
     "Domain",
@@ -53,6 +54,5 @@ __all__ = [
     "VfAssignment",
     "VirtualLapic",
     "VmExitKind",
-    "VmExitTracer",
     "Xen",
 ]

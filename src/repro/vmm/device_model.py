@@ -17,41 +17,26 @@ virtual platform.  Two of its duties matter to the paper:
 
 from __future__ import annotations
 
-
-from repro.core.costs import CostModel
-from repro.core.optimizations import OptimizationConfig
-from repro.obs.ledger import NULL_LEDGER
-from repro.sim.trace import NULL_TRACER
 from repro.vmm.domain import Domain
-from repro.vmm.vmexit import VmExitKind, VmExitTracer, charge_exits
+from repro.vmm.vmexit import VmExitKind, charge_exits
 
 
 class DeviceModel:
     """The qemu-dm instance backing one HVM guest."""
 
-    def __init__(self, guest: Domain, dom0: Domain, costs: CostModel,
-                 opts: OptimizationConfig, tracer: VmExitTracer,
-                 host=None):
+    def __init__(self, guest: Domain, host):
         self.guest = guest
-        self.dom0 = dom0
-        self.costs = costs
-        self.opts = opts
-        self.tracer = tracer
-        #: The owning hypervisor; when set, its live ``trace``/``ledger``
-        #: are used so telemetry installed after guest creation works.
+        #: The owning hypervisor.  Traps book into its live ``ledger``
+        #: and ``trace``, so telemetry installed after guest creation
+        #: works.
         self.host = host
+        self.dom0 = host.dom0
+        self.costs = host.costs
+        self.opts = host.opts
         #: How many HVM guests share dom0 (set by the hypervisor; the
         #: per-trap cost inflates with contention, Fig. 6's 17%->30%).
         self.contending_vms = 1
         self.msi_mask_traps = 0
-
-    @property
-    def trace(self):
-        return self.host.trace if self.host is not None else NULL_TRACER
-
-    @property
-    def ledger(self):
-        return self.host.ledger if self.host is not None else NULL_LEDGER
 
     def emulate_msix_mask_write(self, is_mask: bool) -> None:
         """The guest wrote an MSI-X mask or unmask register.
@@ -61,16 +46,16 @@ class DeviceModel:
         """
         kind = VmExitKind.MSIX_MASK if is_mask else VmExitKind.MSIX_UNMASK
         self.msi_mask_traps += 1
-        ledger = self.ledger
-        self.trace.emit("dm", "msix_mask" if is_mask else "msix_unmask",
-                        domain=self.guest.id,
-                        accelerated=self.opts.msi_acceleration)
+        ledger = self.host.ledger
+        self.host.trace.emit("dm", "msix_mask" if is_mask else "msix_unmask",
+                             domain=self.guest.id,
+                             accelerated=self.opts.msi_acceleration)
         if self.opts.msi_acceleration:
-            charge_exits(self.tracer, ledger, self.guest, kind,
+            charge_exits(ledger, self.guest, kind,
                          self.costs.xen_msi_accelerated_cycles)
             return
         # Unoptimized: Xen forwards to the device model in dom0.
-        charge_exits(self.tracer, ledger, self.guest, kind,
+        charge_exits(ledger, self.guest, kind,
                      self.costs.xen_msi_forward_cycles)
         # dom0 side: wake qemu, emulate, reply.  The per-trap cost
         # inflates as more device models contend for dom0's VCPUs.

@@ -35,7 +35,7 @@ from repro.vmm.event_channel import EventChannels
 from repro.vmm.interrupts import VectorAllocator
 from repro.vmm.scheduler import PinningPolicy
 from repro.vmm.virtual_lapic import VirtualLapic
-from repro.vmm.vmexit import VmExitKind, VmExitTracer, charge_exits
+from repro.vmm.vmexit import VmExitKind, charge_exits
 
 
 class Xen:
@@ -56,15 +56,15 @@ class Xen:
         self.root_complex = RootComplex(self.iommu)
         self.vectors = VectorAllocator()
         self.event_channels = EventChannels()
-        self.tracer = VmExitTracer()
         #: MSIs dropped by interrupt remapping (spoofed or stale vectors).
         self.blocked_interrupts = 0
         #: Install a :class:`repro.sim.trace.Tracer` here to capture the
         #: interrupt path; the default null tracer costs nothing.
         self.trace = NULL_TRACER
-        #: Per-(domain, category) cycle attribution.  Always live: the
-        #: Fig. 7 exit breakdown and Fig. 12 CPU bars are read from it,
-        #: so it is part of the accounting, not optional telemetry.
+        #: Per-(domain, category) cycle attribution.  Always live: it is
+        #: the one book of VM exits (Fig. 7's breakdown) and feeds the
+        #: Fig. 12 CPU bars, so it is part of the accounting, not
+        #: optional telemetry.
         self.ledger = CycleLedger()
         #: Install a :class:`repro.obs.MetricsRegistry` here (usually
         #: via :class:`repro.obs.Telemetry`) to export instruments; the
@@ -93,12 +93,8 @@ class Xen:
                         [self.pinning.place_guest()], kernel)
         self.domains[domain_id] = domain
         if kind is DomainKind.HVM:
-            self._vlapics[domain_id] = VirtualLapic(domain, self.costs,
-                                                    self.opts, self.tracer,
-                                                    host=self)
-            self._device_models[domain_id] = DeviceModel(
-                domain, self.dom0, self.costs, self.opts, self.tracer,
-                host=self)
+            self._vlapics[domain_id] = VirtualLapic(domain, self)
+            self._device_models[domain_id] = DeviceModel(domain, self)
             self._update_dm_contention()
         return domain
 
@@ -190,12 +186,10 @@ class Xen:
         external-interrupt exit and, for a PVM guest, the event-channel
         upcall that signals it instead of a vLAPIC interrupt (§6.4)."""
         costs = self.costs
-        charge_exits(self.tracer, self.ledger, domain,
-                     VmExitKind.EXTERNAL_INTERRUPT,
+        charge_exits(self.ledger, domain, VmExitKind.EXTERNAL_INTERRUPT,
                      costs.external_interrupt_exit_cycles * count, count)
         if domain.is_pvm:
-            charge_exits(self.tracer, self.ledger, domain,
-                         VmExitKind.HYPERCALL,
+            charge_exits(self.ledger, domain, VmExitKind.HYPERCALL,
                          costs.event_channel_notify_cycles * count, count)
 
     # ------------------------------------------------------------------
@@ -204,7 +198,6 @@ class Xen:
     def start_measurement(self) -> None:
         """Zero all accounts; utilization reads cover from here on."""
         self.machine.start_measurement()
-        self.tracer.reset()
         self.ledger.reset()
         for domain in self.domains.values():
             domain.reset_accounting()

@@ -19,38 +19,24 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.costs import CostModel
-from repro.core.optimizations import OptimizationConfig
-from repro.obs.ledger import NULL_LEDGER
-from repro.sim.trace import NULL_TRACER
 from repro.vmm.domain import Domain
-from repro.vmm.vmexit import VmExitKind, VmExitTracer, charge_exits
+from repro.vmm.vmexit import VmExitKind, charge_exits
 
 
 class VirtualLapic:
     """Emulates one HVM guest's local APIC."""
 
-    def __init__(self, domain: Domain, costs: CostModel,
-                 opts: OptimizationConfig, tracer: VmExitTracer,
-                 host=None):
+    def __init__(self, domain: Domain, host):
         if domain.lapic is None:
             raise ValueError(f"domain {domain.name} has no LAPIC (not HVM?)")
         self.domain = domain
-        self.costs = costs
-        self.opts = opts
-        self.tracer = tracer
-        #: The owning hypervisor; when set, its live ``trace``/``ledger``
-        #: are used so telemetry installed after guest creation works.
+        #: The owning hypervisor.  Exits book into its live
+        #: ``ledger`` and ``trace``, so telemetry installed after guest
+        #: creation works.
         self.host = host
+        self.costs = host.costs
+        self.opts = host.opts
         self._carry: float = 0.0  # fractional other-APIC accesses
-
-    @property
-    def trace(self):
-        return self.host.trace if self.host is not None else NULL_TRACER
-
-    @property
-    def ledger(self):
-        return self.host.ledger if self.host is not None else NULL_LEDGER
 
     # ------------------------------------------------------------------
     # hypervisor side: injection
@@ -69,8 +55,8 @@ class VirtualLapic:
             lapic.ack()
         accesses = self.other_accesses()
         if accesses:
-            self.trace.emit("apic", "inject", vector=vector,
-                            domain=self.domain.id, accesses=accesses)
+            self.host.trace.emit("apic", "inject", vector=vector,
+                                 domain=self.domain.id, accesses=accesses)
         for _ in range(accesses):
             self.account(other=1)
 
@@ -97,11 +83,11 @@ class VirtualLapic:
         """Charge ``other`` non-EOI APIC-access exits and ``eois`` EOI
         writes to this guest."""
         if other:
-            charge_exits(self.tracer, self.ledger, self.domain,
+            charge_exits(self.host.ledger, self.domain,
                          VmExitKind.APIC_ACCESS_OTHER,
                          self.costs.other_apic_access_cycles * other, other)
         if eois:
-            charge_exits(self.tracer, self.ledger, self.domain,
+            charge_exits(self.host.ledger, self.domain,
                          VmExitKind.APIC_ACCESS_EOI,
                          self.eoi_cycles * eois, eois)
 
@@ -115,8 +101,8 @@ class VirtualLapic:
         optimization switches.
         """
         self.account(eois=1)
-        self.trace.emit("apic", "eoi", domain=self.domain.id,
-                        accelerated=self.opts.eoi_acceleration)
+        self.host.trace.emit("apic", "eoi", domain=self.domain.id,
+                             accelerated=self.opts.eoi_acceleration)
         lapic = self.domain.lapic
         assert lapic is not None
         retired = lapic.eoi()

@@ -70,6 +70,8 @@ class TestScenarioValidation:
         ("sriov", "vm_count", 2.5), ("sriov", "vm_count", True),
         ("sriov", "ports", "3"), ("sriov", "vfs_per_port", 7.0),
         ("intervm", "message_bytes", 1500.5),
+        ("sriov", "seed", True), ("sriov", "seed", 7.5),
+        ("sriov", "seed", "3"),
     ])
     def test_bad_sizes_and_rates_rejected(self, mode, field, value):
         with pytest.raises(ValueError, match=field):

@@ -74,6 +74,12 @@ class TestFaultSpecParsing:
         with pytest.raises(SystemExit, match="key=value"):
             parse_fault_spec("link_flap:at")
 
+    def test_non_numeric_value_is_a_one_line_exit(self):
+        # Once a raw ValueError traceback out of float("soon").
+        with pytest.raises(SystemExit,
+                           match=r"bad --fault .*link_flap\.at"):
+            parse_fault_spec("link_flap:at=soon")
+
     def test_fault_flag_reaches_the_scenario(self):
         from repro.cli import _scenario_for
         args = build_parser().parse_args(

@@ -43,7 +43,8 @@ class TestValidateSpec:
         # two plans with the same meaning must normalize identically.
         a = validate_spec({"kind": "link_flap", "at": 2, "port": "1"})
         b = validate_spec({"kind": "link_flap", "at": 2.0, "port": 1})
-        assert a == b
+        c = validate_spec({"kind": "link_flap", "at": "2", "port": 1.0})
+        assert a == b == c
         assert isinstance(a["at"], float) and isinstance(a["port"], int)
 
     def test_negative_time_rejected(self):
@@ -76,6 +77,38 @@ class TestValidateSpec:
     def test_degrade_factor_must_be_a_slowdown(self):
         with pytest.raises(FaultSpecError, match="factor"):
             validate_spec({"kind": "migration_degrade", "factor": 0.5})
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"kind": "link_flap", "at": 1.0, "port": 1.7}, "port"),
+        ({"kind": "link_flap", "at": 1.0, "port": True}, "port"),
+        ({"kind": "link_flap", "at": 1.0, "port": "1.5"}, "port"),
+        ({"kind": "mailbox_loss", "at": 1.0, "vf": 0.5}, "vf"),
+        ({"kind": "mailbox_loss", "at": 1.0, "vf": False}, "vf"),
+        ({"kind": "dma_corruption", "at": 1.0, "count": 2.5}, "count"),
+        ({"kind": "dma_corruption", "at": 1.0, "count": True}, "count"),
+        ({"kind": "link_flap", "at": True}, "at"),
+        ({"kind": "link_flap", "at": float("nan")}, "at"),
+        ({"kind": "link_flap", "at": "soon"}, "at"),
+        ({"kind": "link_flap", "at": [1.0]}, "at"),
+        ({"kind": "link_flap", "at": 1.0, "duration": float("inf")},
+         "duration"),
+        ({"kind": "link_flap", "at": 1.0, "duration": "nan"}, "duration"),
+        ({"kind": "uplink_down", "at": 1.0, "host": "h0",
+          "duration": float("nan")}, "duration"),
+        ({"kind": "interrupt_delay", "at": 1.0, "delay": float("inf")},
+         "delay"),
+        ({"kind": "mailbox_loss", "at": 1.0, "probability": True},
+         "probability"),
+        ({"kind": "migration_degrade", "factor": float("inf")}, "factor"),
+        ({"kind": "uplink_degrade", "at": 1.0, "host": "h0",
+          "rate_factor": True}, "rate_factor"),
+    ])
+    def test_malformed_values_rejected_naming_the_field(self, spec, field):
+        # Each of these once normalized to a wrong value (True and 1.7
+        # to port 1), built a scenario whose run or cache key failed
+        # later (NaN, infinity), or escaped as a raw ValueError.
+        with pytest.raises(FaultSpecError, match=f"{spec['kind']}.{field}"):
+            validate_spec(spec)
 
     def test_every_kind_has_a_field_table(self):
         assert set(FAULT_KINDS) == set(FAULT_FIELDS)

@@ -57,14 +57,10 @@ def test_histogram_and_time_weighted_render():
     hist = registry.histogram("lat", bin_width=0.5)
     for v in (1.0, 2.0, 3.0):
         hist.add(v)
-    tw = registry.time_weighted("depth", initial=0.0, start_time=0.0)
-    tw.update(4.0, 1.0)
-    snap = registry.snapshot(now=2.0)
+    snap = registry.snapshot()
     assert snap["lat"]["count"] == 3
     assert snap["lat"]["mean"] == pytest.approx(2.0)
     assert "p99" in snap["lat"]
-    assert snap["depth"]["current"] == 4.0
-    assert snap["depth"]["mean"] == pytest.approx(2.0)
 
 
 def test_snapshot_sorted_and_json_stable():
@@ -78,7 +74,6 @@ def test_snapshot_sorted_and_json_stable():
 def test_null_registry_hands_out_noop_instruments():
     counter = NULL_REGISTRY.counter("anything")
     counter.add(5)
-    counter.record(1.0)
     # Null counters support the hot-path contract: a writable ``value``
     # attribute, private per registration, that never reaches a snapshot.
     counter.value += 3

@@ -4,8 +4,8 @@ The exact path calls each layer's entry point once per event; the fluid
 datapath calls the same entry point once per settle with a window's
 totals.  For integral costs (the fluid ``nonintegral_costs`` gate's
 condition) one call with ``n`` must leave exactly the state ``n`` calls
-with 1 leave: ledger cells, exit-tracer records, core accounts, the
-vLAPIC's fractional carry, NAPI and VF counters, DMA bookings and the
+with 1 leave: ledger cells (the one book of VM exits), core accounts,
+the vLAPIC's fractional carry, NAPI and VF counters, DMA bookings and the
 app's latency sums and bins.
 
 ``NetserverApp.deliver`` groups a burst into runs of equal send time,
@@ -70,7 +70,6 @@ def _xen(costs, kind, opts):
 def _books(xen):
     """Every accumulator an exit or guest charge can touch."""
     return (
-        {kind: (r.count, r.cycles) for kind, r in xen.tracer._records.items()},
         xen.ledger.snapshot(),
         [sorted(core._accounts.items()) for core in xen.machine.cores],
         sorted((d.name, d.cycles_consumed) for d in xen.domains.values()),

@@ -4,43 +4,42 @@ import pytest
 
 from repro.core.costs import CostModel
 from repro.core.optimizations import OptimizationConfig
-from repro.hw.cpu import Machine
 from repro.sim import Simulator
-from repro.vmm import Domain, DomainKind, VmExitKind, VmExitTracer
-from repro.vmm.device_model import DeviceModel
+from repro.vmm import VmExitKind, Xen
 
 
 def make_dm(opts=None, costs=None):
-    costs = costs or CostModel()
-    machine = Machine(Simulator(), core_count=16, clock_hz=costs.clock_hz)
-    dom0 = Domain(0, "dom0", DomainKind.DOM0, machine, list(range(8)))
-    guest = Domain(1, "g", DomainKind.HVM, machine, [8])
-    tracer = VmExitTracer()
-    dm = DeviceModel(guest, dom0, costs, opts or OptimizationConfig.none(),
-                     tracer)
-    return dm, machine, costs, tracer
+    xen = Xen(Simulator(), costs, opts or OptimizationConfig.none())
+    guest = xen.create_guest("g")
+    return xen.device_model(guest), xen.machine, xen.costs, xen.ledger
+
+
+def exit_count(ledger, kind):
+    return ledger.exit_breakdown().get(kind.value, (0, 0.0))[0]
 
 
 def test_unoptimized_trap_charges_all_three_parties():
-    dm, machine, costs, tracer = make_dm()
+    dm, machine, costs, ledger = make_dm()
+    core = machine.core(dm.guest.home_core())
     dm.emulate_msix_mask_write(is_mask=True)
     # Xen forward cost on the guest's core.
-    assert machine.core(8).cycles("xen") == costs.xen_msi_forward_cycles
+    assert core.cycles("xen") == costs.xen_msi_forward_cycles
     # dom0 round trip on one of dom0's cores.
     assert machine.cycles("dom0") == costs.dm_msi_roundtrip_cycles
     # Guest-side pollution stall.
-    assert machine.core(8).cycles("guest") == costs.guest_msi_stall_cycles
-    assert tracer.count(VmExitKind.MSIX_MASK) == 1
+    assert core.cycles("guest") == costs.guest_msi_stall_cycles
+    assert exit_count(ledger, VmExitKind.MSIX_MASK) == 1
 
 
 def test_accelerated_trap_stays_in_hypervisor():
-    dm, machine, costs, tracer = make_dm(
+    dm, machine, costs, ledger = make_dm(
         OptimizationConfig(msi_acceleration=True))
     dm.emulate_msix_mask_write(is_mask=False)
     assert machine.cycles("dom0") == 0
     assert machine.cycles("guest") == 0
-    assert machine.core(8).cycles("xen") == costs.xen_msi_accelerated_cycles
-    assert tracer.count(VmExitKind.MSIX_UNMASK) == 1
+    assert machine.core(dm.guest.home_core()).cycles("xen") == \
+        costs.xen_msi_accelerated_cycles
+    assert exit_count(ledger, VmExitKind.MSIX_UNMASK) == 1
 
 
 def test_acceleration_is_a_large_dom0_saving():

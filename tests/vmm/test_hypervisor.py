@@ -66,7 +66,8 @@ class TestMsiRouting:
         guest = xen.create_guest("g", DomainKind.HVM)
         vector, received = self.deliver_to(xen, guest)
         assert received == [vector]
-        assert xen.tracer.count(VmExitKind.EXTERNAL_INTERRUPT) == 1
+        exits = xen.ledger.exit_breakdown()
+        assert exits[VmExitKind.EXTERNAL_INTERRUPT.value][0] == 1
         assert guest.lapic.isr_contains(vector)
 
     def test_pvm_delivery_uses_event_channel_cost(self):
@@ -75,8 +76,8 @@ class TestMsiRouting:
         _, received = self.deliver_to(xen, guest)
         assert len(received) == 1
         # Event-channel notify recorded as hypercall-class work.
-        assert xen.tracer.cycles(VmExitKind.HYPERCALL) == \
-            xen.costs.event_channel_notify_cycles
+        assert xen.ledger.exit_breakdown()[VmExitKind.HYPERCALL.value][1] \
+            == xen.costs.event_channel_notify_cycles
 
     def test_vector_for_destroyed_domain_dropped(self):
         xen = make_xen()

@@ -4,26 +4,26 @@ import pytest
 
 from repro.core.costs import CostModel
 from repro.core.optimizations import OptimizationConfig
-from repro.hw.cpu import Machine
 from repro.sim import Simulator
-from repro.vmm import Domain, DomainKind, VirtualLapic, VmExitKind, VmExitTracer
+from repro.vmm import DomainKind, VirtualLapic, VmExitKind, Xen
 
 
 def make_vlapic(opts=None, costs=None):
-    costs = costs or CostModel()
-    machine = Machine(Simulator(), core_count=16, clock_hz=costs.clock_hz)
-    domain = Domain(1, "g", DomainKind.HVM, machine, [8])
-    tracer = VmExitTracer()
-    vlapic = VirtualLapic(domain, costs, opts or OptimizationConfig.none(),
-                          tracer)
-    return vlapic, domain, tracer, machine, costs
+    xen = Xen(Simulator(), costs, opts or OptimizationConfig.none())
+    domain = xen.create_guest("g")
+    return xen.vlapic(domain), domain, xen.ledger, xen.machine, xen.costs
+
+
+def exits(ledger, kind):
+    """``(count, cycles)`` of one exit kind, read from the ledger."""
+    return ledger.exit_breakdown().get(kind.value, (0, 0.0))
 
 
 def test_requires_hvm_domain():
-    machine = Machine(Simulator(), core_count=16)
-    pvm = Domain(1, "p", DomainKind.PVM, machine, [8])
+    xen = Xen(Simulator())
+    pvm = xen.create_guest("p", DomainKind.PVM)
     with pytest.raises(ValueError):
-        VirtualLapic(pvm, CostModel(), OptimizationConfig.none(), VmExitTracer())
+        VirtualLapic(pvm, xen)
 
 
 def test_inject_delivers_vector():
@@ -33,30 +33,33 @@ def test_inject_delivers_vector():
 
 
 def test_eoi_unaccelerated_cost():
-    vlapic, domain, tracer, machine, costs = make_vlapic()
+    vlapic, domain, ledger, machine, costs = make_vlapic()
+    core = machine.core(domain.home_core())
     vlapic.inject(0x40)
-    xen_before = machine.core(8).cycles("xen")
+    xen_before = core.cycles("xen")
     retired = vlapic.eoi_write()
     assert retired == 0x40
-    assert tracer.cycles(VmExitKind.APIC_ACCESS_EOI) == costs.eoi_emulate_cycles
-    assert machine.core(8).cycles("xen") - xen_before == costs.eoi_emulate_cycles
+    assert exits(ledger, VmExitKind.APIC_ACCESS_EOI)[1] == \
+        costs.eoi_emulate_cycles
+    assert core.cycles("xen") - xen_before == costs.eoi_emulate_cycles
 
 
 def test_eoi_accelerated_cost():
     opts = OptimizationConfig(eoi_acceleration=True)
-    vlapic, _, tracer, _, costs = make_vlapic(opts)
+    vlapic, _, ledger, _, costs = make_vlapic(opts)
     vlapic.inject(0x40)
     vlapic.eoi_write()
-    assert tracer.cycles(VmExitKind.APIC_ACCESS_EOI) == costs.eoi_accelerated_cycles
+    assert exits(ledger, VmExitKind.APIC_ACCESS_EOI)[1] == \
+        costs.eoi_accelerated_cycles
 
 
 def test_eoi_accelerated_with_instruction_check():
     opts = OptimizationConfig(eoi_acceleration=True, eoi_instruction_check=True)
-    vlapic, _, tracer, _, costs = make_vlapic(opts)
+    vlapic, _, ledger, _, costs = make_vlapic(opts)
     vlapic.inject(0x40)
     vlapic.eoi_write()
     expected = costs.eoi_accelerated_cycles + costs.eoi_instruction_check_cycles
-    assert tracer.cycles(VmExitKind.APIC_ACCESS_EOI) == expected
+    assert exits(ledger, VmExitKind.APIC_ACCESS_EOI)[1] == expected
 
 
 def test_acceleration_saves_the_papers_5900_cycles():
@@ -68,21 +71,25 @@ def test_acceleration_saves_the_papers_5900_cycles():
 
 def test_other_apic_accesses_average_per_interrupt():
     """The 1.13 non-EOI accesses per interrupt accumulate via carry."""
-    vlapic, _, tracer, _, costs = make_vlapic()
+    vlapic, _, ledger, _, costs = make_vlapic()
     for _ in range(100):
         vlapic.inject(0x40)
         vlapic.eoi_write()
-    other = tracer.count(VmExitKind.APIC_ACCESS_OTHER)
+    other = exits(ledger, VmExitKind.APIC_ACCESS_OTHER)[0]
     assert other == pytest.approx(113, abs=1)
 
 
 def test_eoi_share_of_apic_access_exits_near_47_percent():
-    """§5.2: 'Among APIC-access VM-exit, 47% of them are EOI write.'"""
-    vlapic, _, tracer, _, _ = make_vlapic()
+    """§5.2: 'Among APIC-access VM-exit, 47% of them are EOI write.'
+    The share is a count ratio of the ledger's exit cells, not a cycle
+    ratio."""
+    vlapic, _, ledger, _, _ = make_vlapic()
     for _ in range(1000):
         vlapic.inject(0x40)
         vlapic.eoi_write()
-    assert tracer.eoi_share_of_apic_accesses() == pytest.approx(0.47, abs=0.01)
+    eoi = exits(ledger, VmExitKind.APIC_ACCESS_EOI)[0]
+    other = exits(ledger, VmExitKind.APIC_ACCESS_OTHER)[0]
+    assert eoi / (eoi + other) == pytest.approx(0.47, abs=0.01)
 
 
 def test_pending_lower_priority_dispatched_after_eoi():
