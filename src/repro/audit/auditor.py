@@ -5,8 +5,6 @@ maintains by construction, verified against every mutation site, so a
 violation is always a real bug (or a deliberately seeded one in the
 tests), never noise.  The audited laws:
 
-* **packet-pool** — :class:`~repro.net.packet.PacketPool` accounting:
-  ``acquired == next_seq`` (every handed-out packet drew one seq).
 * **nic-flow** — per network function, every offered RX packet is
   accounted exactly once: ``rx_offered == rx_packets +
   rx_no_desc_drops + rx_dma_faults + rx_corrupt_drops``.
@@ -118,7 +116,6 @@ class InvariantAuditor:
         :class:`InvariantViolation` (after writing the repro dump) on
         the first failure."""
         checks = (
-            self._check_packet_pool,
             self._check_nic_flow,
             self._check_rings,
             self._check_lapics,
@@ -172,17 +169,6 @@ class InvariantAuditor:
     # ------------------------------------------------------------------
     # individual checks
     # ------------------------------------------------------------------
-    def _check_packet_pool(self, phase: str) -> None:
-        pool = self.bed.packet_pool
-        if pool is None:
-            return
-        if pool.acquired != pool.next_seq:
-            self._fail("packet-pool",
-                       f"acquired={pool.acquired} != "
-                       f"next_seq={pool.next_seq}",
-                       {"acquired": pool.acquired,
-                        "next_seq": pool.next_seq})
-
     def _net_functions(self):
         for port in self.bed.ports:
             for fn in [port.pf] + list(port.vfs):

@@ -62,26 +62,24 @@ class NetserverApp:
         VF ISR path where the whole coalescing window lands at once.
         Flow-controlled paths (netback's copy, which paces itself
         against the frontend ring) pass ``capped=False``.  Accepted
-        packets are booked as runs of equal send time, size and
-        protocol (a netperf burst is one run).
+        packets are booked as runs of one shared header (a netperf
+        burst is one run); :meth:`account` adds latencies per packet,
+        so the books do not depend on how packets were grouped.
         """
         total = len(burst)
         accepted = min(total, self.batch_capacity) if capped else total
         latencies: List[float] = []
         counts: List[int] = []
         payloads: List[int] = []
-        created = size = protocol = None
+        header = None
         for packet in burst[:accepted]:
-            if (packet.created_at == created and packet.size_bytes == size
-                    and packet.protocol is protocol):
+            if packet is header:
                 counts[-1] += 1
                 continue
-            created = packet.created_at
-            size = packet.size_bytes
-            protocol = packet.protocol
-            latencies.append(now - created)
+            header = packet
+            latencies.append(now - packet.created_at)
             counts.append(1)
-            payloads.append(_payload(size, protocol))
+            payloads.append(_payload(packet.size_bytes, packet.protocol))
         self.account(latencies, counts, payloads, total - accepted)
         return accepted, total - accepted
 

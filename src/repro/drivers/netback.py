@@ -19,7 +19,7 @@ in the paper.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.hw.cpu import Executor
 from repro.net.packet import Packet
@@ -45,7 +45,9 @@ class Netback:
                      "dom0", queue_limit=queue_limit)
             for i in range(thread_count)
         ]
-        self._frontends: List["object"] = []
+        #: Connected frontends -> their copy cost per packet, repriced
+        #: whenever the frontend count changes.
+        self._frontends: Dict[object, float] = {}
         self.delivered_packets = 0
         self.dropped_bursts = 0
         self.dropped_packets = 0
@@ -66,12 +68,23 @@ class Netback:
         """Attach a frontend (its ring + event channel pair)."""
         if netfront in self._frontends:
             raise ValueError("frontend already connected")
-        self._frontends.append(netfront)
+        self._frontends[netfront] = 0.0
         netfront.backend = self
+        self._reprice()
 
     def disconnect(self, netfront) -> None:
-        self._frontends.remove(netfront)
+        if netfront not in self._frontends:
+            raise ValueError("frontend not connected to this netback")
+        del self._frontends[netfront]
         netfront.backend = None
+        self._reprice()
+
+    def _reprice(self) -> None:
+        # The contention factor follows the frontend count, so every
+        # connected frontend's per-packet cost changes with it.
+        for netfront in self._frontends:
+            self._frontends[netfront] = self.cycles_per_packet(
+                netfront.domain)
 
     @property
     def frontend_count(self) -> int:
@@ -98,13 +111,14 @@ class Netback:
         Returns False (burst dropped) when the chosen backend thread's
         queue is full — the saturation signal.
         """
-        if netfront not in self._frontends:
+        per_packet = self._frontends.get(netfront)
+        if per_packet is None:
             raise RuntimeError("frontend not connected to this netback")
         if not burst:
             return True
         thread = netfront.frontend_id % len(self.executors)
         executor = self.executors[thread]
-        cycles = self.cycles_per_packet(netfront.domain) * len(burst)
+        cycles = per_packet * len(burst)
         self._thread_batches[thread].add()
         self._thread_packets[thread].add(len(burst))
         self.platform.trace.emit("netback", "batch", thread=thread,

@@ -99,8 +99,8 @@ class NetperfStream:
         self.flow_id = flow_id
         self.burst_interval = burst_interval
         self.name = name
-        #: Optional run-scoped allocator (deterministic seqs + reuse);
-        #: without one, packets come off the module-global sequence.
+        #: Optional run-scoped allocator, which counts the packets it
+        #: hands out; without one, bursts are built here uncounted.
         self.pool = pool
         self.message_bytes = message_bytes
         self.pps = packets_per_second(throughput_bps, mtu, protocol)
@@ -180,11 +180,8 @@ class NetperfStream:
                                            self.mtu, self.vlan,
                                            self.protocol, self.flow_id, now)
             else:
-                burst = [
-                    Packet(self.src, self.dst, self.mtu, self.vlan,
-                           self.protocol, self.flow_id, now)
-                    for _ in range(count)
-                ]
+                burst = [Packet(self.src, self.dst, self.mtu, self.vlan,
+                                self.protocol, self.flow_id, now)] * count
             # Direct increments: every packet is mtu-sized, so the byte
             # count is exactly the sum the per-packet loop produced.
             self.sent.value += count

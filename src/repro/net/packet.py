@@ -14,7 +14,6 @@ framing arithmetic, reproduced here from first principles:
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 from repro.net.mac import MacAddress, VLAN_NONE
@@ -50,26 +49,20 @@ class Protocol(Enum):
     TCP = "tcp"
 
 
-#: Process-wide fallback sequence, used only for packets created outside
-#: a :class:`PacketPool`.  Simulations that must replay identically
-#: within one process route all packet creation through a per-testbed
-#: pool, whose sequence restarts at 0 for every run.
-_sequence = itertools.count()
-
-
 class Packet:
     """A modelled network packet (one MTU-sized frame unless stated).
 
     ``size_bytes`` is the IP packet size (headers included, Ethernet
     framing excluded); use :func:`wire_bytes` for the on-wire cost.
 
-    A plain slotted class rather than a dataclass: the simulation
-    creates hundreds of thousands of these per simulated second, and
-    construction cost is the benchmark suite's hottest line.
+    A packet is an immutable value once built: nothing on any path
+    assigns to its fields.  A burst's packets differ in nothing the
+    simulation reads, so a burst is one header referenced ``count``
+    times, and every ring slot it lands in shares that header.
     """
 
     __slots__ = ("src", "dst", "size_bytes", "vlan", "protocol",
-                 "flow_id", "created_at", "seq")
+                 "flow_id", "created_at")
 
     def __init__(self, src: MacAddress, dst: MacAddress,
                  size_bytes: int = DEFAULT_MTU, vlan: int = VLAN_NONE,
@@ -84,7 +77,6 @@ class Packet:
         self.protocol = protocol
         self.flow_id = flow_id
         self.created_at = created_at
-        self.seq = next(_sequence)
 
     @property
     def payload_bytes(self) -> int:
@@ -93,60 +85,33 @@ class Packet:
         return max(0, self.size_bytes - IP_HEADER_BYTES - header)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"Packet(seq={self.seq}, {self.src}->{self.dst}, "
+        return (f"Packet({self.src}->{self.dst}, "
                 f"{self.size_bytes}B, {self.protocol.value})")
 
 
 class PacketPool:
-    """A run-scoped :class:`Packet` allocator with its own sequence.
+    """A run-scoped :class:`Packet` allocator that counts what it hands
+    out.
 
-    The pool's counter restarts at 0, so a (scenario, seed) pair
-    replays with identical ``Packet.seq`` values no matter how many
-    runs preceded it in the process — unlike the module-global
-    fallback sequence.  Each testbed owns one pool.  Packets are never
-    returned to it: a refcount-gated free list was measured and moved
-    no perfbench workload (docs/performance.md).
+    Each testbed owns one pool.  A burst is one header shared by its
+    packets (see :class:`Packet`), so building one costs the same
+    whatever its size.
     """
 
-    __slots__ = ("_seq", "acquired")
+    __slots__ = ("acquired",)
 
     def __init__(self) -> None:
-        self._seq = 0
-        #: Total packets ever handed out; the invariant auditor checks
-        #: it against ``next_seq``.
+        #: Total packets ever handed out.
         self.acquired = 0
-
-    @property
-    def next_seq(self) -> int:
-        """The sequence number the next acquired packet will get."""
-        return self._seq
 
     def acquire_burst(self, count: int, src: MacAddress, dst: MacAddress,
                       size_bytes: int = DEFAULT_MTU, vlan: int = VLAN_NONE,
                       protocol: Protocol = Protocol.UDP, flow_id: int = 0,
                       created_at: float = 0.0) -> list:
-        """``count`` packets sharing one header tuple, consecutive seqs."""
-        if size_bytes <= 0:
-            raise ValueError("packet size must be positive")
-        seq = self._seq
-        self._seq = seq + count
+        """``count`` references to one packet with these fields."""
         self.acquired += count
-        new = Packet.__new__
-        burst = []
-        append = burst.append
-        for _ in range(count):
-            packet = new(Packet)
-            packet.src = src
-            packet.dst = dst
-            packet.size_bytes = size_bytes
-            packet.vlan = vlan
-            packet.protocol = protocol
-            packet.flow_id = flow_id
-            packet.created_at = created_at
-            packet.seq = seq
-            seq += 1
-            append(packet)
-        return burst
+        return [Packet(src, dst, size_bytes, vlan, protocol, flow_id,
+                       created_at)] * count
 
 
 def wire_bytes(size_bytes: int, vlan: int = VLAN_NONE) -> int:

@@ -13,8 +13,8 @@ The kernel is deliberately small and fully deterministic:
 * :class:`Condition` — a one-shot waitable event processes can block on.
 * :mod:`repro.sim.rand` — named, independently seeded random streams so
   adding a new consumer never perturbs existing ones.
-* :mod:`repro.sim.stats` — time-weighted statistics, rate meters and
-  histograms used by every measurement in the benchmarks.
+* :mod:`repro.sim.stats` — counters, rate meters, histograms and
+  series used by every measurement in the benchmarks.
 """
 
 from repro.sim.engine import EventHandle, Simulator, SimulationError
@@ -25,7 +25,6 @@ from repro.sim.stats import (
     Histogram,
     RateMeter,
     Series,
-    TimeWeighted,
 )
 
 __all__ = [
@@ -40,5 +39,4 @@ __all__ = [
     "Series",
     "SimulationError",
     "Simulator",
-    "TimeWeighted",
 ]

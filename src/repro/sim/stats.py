@@ -4,8 +4,6 @@ Every number the benchmarks print flows through one of these:
 
 * :class:`Counter` — a plain monotonic count (packets delivered, VM exits).
 * :class:`RateMeter` — counts over a window, read back as events/second.
-* :class:`TimeWeighted` — time-weighted average of a piecewise-constant
-  value (queue depth, link occupancy).
 * :class:`Histogram` — fixed-bin histogram with percentile queries
   (latency distributions).
 * :class:`Series` — (time, value) samples for timeline figures
@@ -67,48 +65,6 @@ class RateMeter:
     @property
     def count(self) -> float:
         return self._count
-
-
-class TimeWeighted:
-    """Time-weighted statistics of a piecewise-constant signal."""
-
-    def __init__(self, initial: float = 0.0, start_time: float = 0.0):
-        self._value = initial
-        self._last_change = start_time
-        self._weighted_sum = 0.0
-        self._start = start_time
-        self._max = initial
-        self._min = initial
-
-    def update(self, value: float, now: float) -> None:
-        """Record that the signal took ``value`` from ``now`` onward."""
-        if now < self._last_change:
-            raise ValueError("time went backwards in TimeWeighted.update")
-        self._weighted_sum += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-        self._max = max(self._max, value)
-        self._min = min(self._min, value)
-
-    @property
-    def current(self) -> float:
-        return self._value
-
-    @property
-    def maximum(self) -> float:
-        return self._max
-
-    @property
-    def minimum(self) -> float:
-        return self._min
-
-    def mean(self, now: float) -> float:
-        """Time-weighted mean over [start, now]."""
-        elapsed = now - self._start
-        if elapsed <= 0:
-            return self._value
-        total = self._weighted_sum + self._value * (now - self._last_change)
-        return total / elapsed
 
 
 class Histogram:

@@ -1,8 +1,8 @@
 """The invariant auditor: clean runs pass, seeded corruption is caught.
 
 Every check audits an *exact* identity, so these tests work by
-deliberately breaking one — leaking pool accounting, flipping a
-descriptor done bit, latching a reserved LAPIC vector — and asserting
+deliberately breaking one — unbalancing the event-queue ledger, flipping
+a descriptor done bit, latching a reserved LAPIC vector — and asserting
 the auditor names the right law, counts the violation, and writes a
 repro dump.
 
@@ -32,7 +32,7 @@ class TestCleanRuns:
         bed = _bed(tmp_path)
         bed.add_sriov_guest()
         checks = bed.auditor.audit()
-        assert checks == 7
+        assert checks == 6
         assert bed.auditor.audits == 1
         assert bed.auditor.violations == 0
 
@@ -67,14 +67,6 @@ class TestCleanRuns:
 
 
 class TestSeededViolations:
-    def test_leaked_pool_accounting_is_caught(self, tmp_path):
-        bed = _bed(tmp_path)
-        bed.packet_pool.acquired += 1  # a packet the pool never minted
-        with pytest.raises(InvariantViolation) as excinfo:
-            bed.auditor.audit()
-        assert excinfo.value.check == "packet-pool"
-        assert bed.auditor.violations == 1
-
     def test_flipped_descriptor_done_bit_is_caught(self, tmp_path):
         bed = _bed(tmp_path)
         guest = bed.add_sriov_guest()
@@ -129,7 +121,7 @@ class TestSeededViolations:
 
     def test_violations_accumulate(self, tmp_path):
         bed = _bed(tmp_path)
-        bed.packet_pool.acquired += 1
+        bed.sim._live += 1
         for _ in range(2):
             with pytest.raises(InvariantViolation):
                 bed.auditor.audit()
@@ -142,7 +134,7 @@ class TestReproDump:
         bed = _bed(tmp_path, seed=1234)
         bed.auditor.context = {"scenario": {"mode": "sriov"},
                                "seed": 1234}
-        bed.packet_pool.acquired += 1
+        bed.sim._live += 1
         with pytest.raises(InvariantViolation) as excinfo:
             bed.auditor.audit()
         violation = excinfo.value
@@ -150,7 +142,7 @@ class TestReproDump:
         assert violation.dump_path in str(violation)
         document = json.loads(open(violation.dump_path).read())
         assert document["schema"] == DUMP_SCHEMA
-        assert document["check"] == "packet-pool"
+        assert document["check"] == "event-queue"
         assert document["seed"] == 1234
         assert document["sim_time"] == violation.sim_time
         assert document["context"]["scenario"] == {"mode": "sriov"}
@@ -158,7 +150,7 @@ class TestReproDump:
 
     def test_colliding_dump_names_get_a_counter_suffix(self, tmp_path):
         bed = _bed(tmp_path)
-        bed.packet_pool.acquired += 1
+        bed.sim._live += 1
         paths = set()
         for _ in range(2):
             with pytest.raises(InvariantViolation) as excinfo:
@@ -172,7 +164,7 @@ class TestReproDump:
         blocker = tmp_path / "blocked"
         blocker.write_text("a file where the dump dir should go")
         bed.auditor.dump_dir = blocker / "nested"
-        bed.packet_pool.acquired += 1
+        bed.sim._live += 1
         with pytest.raises(InvariantViolation) as excinfo:
             bed.auditor.audit()
         assert excinfo.value.dump_path is None
@@ -194,7 +186,7 @@ class TestSweepIntegration:
         from repro.sweep import jobs as jobs_module
 
         def poisoned(payload):
-            raise InvariantViolation("packet-pool", "seeded", sim_time=0.0)
+            raise InvariantViolation("event-queue", "seeded", sim_time=0.0)
 
         monkeypatch.setattr(jobs_module, "execute_payload", poisoned)
         monkeypatch.setattr("repro.sweep.runner.execute_payload", poisoned)

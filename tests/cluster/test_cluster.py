@@ -11,8 +11,10 @@ import json
 import pytest
 
 from repro.api import Scenario, run
+from repro.audit import InvariantViolation
 from repro.cluster import run_cluster
 from repro.core.host import Host, HostSpec, derive_host_seed
+from repro.net.fabric import ToRSwitch
 
 
 def _scenario(**overrides):
@@ -78,6 +80,29 @@ class TestClusterRun:
     def test_run_cluster_rejects_single_host_scenarios(self):
         with pytest.raises(ValueError, match="cluster"):
             run_cluster(Scenario(mode="sriov"))
+
+    def test_fabric_violation_names_the_time_the_hosts_ran_to(
+            self, monkeypatch):
+        # A frame the ToR never accounts for is caught when the
+        # coordinator aggregates, at warm-up + duration: the time every
+        # host reached, not the measurement window's length.
+        reset = ToRSwitch.reset_counters
+
+        def leak_one_frame(tor):
+            reset(tor)
+            tor.offered += 1
+
+        monkeypatch.setattr(ToRSwitch, "reset_counters", leak_one_frame)
+        scenario = _scenario(
+            hosts=[{"name": "h0", "vm_count": 1, "ports": 1},
+                   {"name": "h1", "vm_count": 1, "ports": 1}],
+            flows=[{"src_host": "h0", "dst_host": "h1",
+                    "src_vm": 0, "dst_vm": 0}],
+            warmup=0.02, duration=0.03)
+        with pytest.raises(InvariantViolation) as excinfo:
+            run_cluster(scenario)
+        assert excinfo.value.check == "fabric-flow"
+        assert excinfo.value.sim_time == 0.05
 
 
 class TestFig22Artifact:

@@ -122,3 +122,33 @@ def test_netfront_charges_guest_cycles():
                       + 10 * (costs.netfront_cycles_per_packet
                               + costs.pvm_syscall_surcharge_per_packet))
     assert bed.platform.machine.cycles("guest") == pytest.approx(expected_guest)
+
+
+def test_copy_cost_follows_the_frontend_count():
+    # Netback prices a frontend's copy when frontends connect or
+    # disconnect; every burst must be charged at the current count's
+    # contention factor, past the 10-VM baseline and back below it.
+    bed, guests = build(vm_count=13)
+    guests.append(bed.add_pv_guest(DomainKind.PVM))
+    netback = bed.netback
+    packets = burst(7)
+
+    def charged(guest):
+        bed.platform.start_measurement()
+        netback.deliver(guest.netfront, packets)
+        cycles = bed.platform.machine.cycles("dom0")
+        bed.sim.run()
+        return cycles
+
+    def expected(guest):
+        return netback.cycles_per_packet(guest.domain) * len(packets)
+
+    assert netback.frontend_count == 14
+    crowded = [charged(guest) for guest in (guests[0], guests[-1])]
+    assert crowded == [expected(guests[0]), expected(guests[-1])]
+    for guest in guests[9:13]:
+        netback.disconnect(guest.netfront)
+    assert netback.frontend_count == 10
+    relieved = [charged(guest) for guest in (guests[0], guests[-1])]
+    assert relieved == [expected(guests[0]), expected(guests[-1])]
+    assert relieved[0] < crowded[0] and relieved[1] < crowded[1]

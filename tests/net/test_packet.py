@@ -54,12 +54,6 @@ def test_packet_rejects_nonpositive_size():
         Packet(src=SRC, dst=DST, size_bytes=0)
 
 
-def test_packet_sequence_numbers_unique():
-    first = Packet(src=SRC, dst=DST)
-    second = Packet(src=SRC, dst=DST)
-    assert first.seq != second.seq
-
-
 def test_frames_for_message_single_frame():
     assert frames_for_message(1000) == 1
 

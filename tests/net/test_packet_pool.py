@@ -1,12 +1,13 @@
-"""PacketPool: deterministic, per-run packet sequences.
+"""PacketPool: one header per burst, counted per run.
 
-Every testbed owns its own pool, so packet sequence numbers restart at
-0 per run and a (scenario, seed) pair replays with identical seqs
-within one process, independent of what ran before it.  Without a
-pool, packets draw from a module-global sequence that any earlier run
-advances.  The pool hands out fresh packets only; nothing is ever
-returned to it.
+A burst's packets differ in nothing the simulation reads, so
+``acquire_burst`` builds one immutable header and returns that many
+references to it.  Every testbed owns its own pool, whose ``acquired``
+counts the packets of that run alone.  A (scenario, seed) pair replays
+the same delivered packets within one process, whatever ran before it.
 """
+
+from itertools import groupby
 
 from repro.core.testbed import Testbed
 from repro.net.mac import MacAddress
@@ -17,27 +18,37 @@ DST = MacAddress(0x02_00_00_00_00_02)
 
 
 def test_pool_sequences_start_at_zero_and_are_consecutive():
+    """A fresh pool has handed out nothing; each burst advances its count
+    by exactly the burst's packets, with no gap and no overlap."""
     pool = PacketPool()
+    assert pool.acquired == 0
     burst = pool.acquire_burst(5, SRC, DST)
-    assert [p.seq for p in burst] == [0, 1, 2, 3, 4]
+    assert len(burst) == 5
+    assert pool.acquired == 5
     more = pool.acquire_burst(3, SRC, DST)
-    assert [p.seq for p in more] == [5, 6, 7]
-    assert pool.next_seq == 8
+    assert len(more) == 3
+    assert pool.acquired == 8
 
 
-def test_pools_are_independent_of_each_other_and_the_global_sequence():
-    Packet(SRC, DST)  # advances the module-global fallback sequence
+def test_acquired_counts_packets_across_bursts_and_pools_are_independent():
     a = PacketPool()
     b = PacketPool()
-    assert a.acquire_burst(1, SRC, DST)[0].seq == 0
-    assert b.acquire_burst(1, SRC, DST)[0].seq == 0
+    first = a.acquire_burst(5, SRC, DST)
+    second = a.acquire_burst(3, SRC, DST)
+    b.acquire_burst(1, SRC, DST)
+    assert a.acquired == 8
+    assert b.acquired == 1
+    assert first[0] is not second[0]  # one header per burst, not per pool
 
 
 def test_acquire_burst_initializes_every_field():
     pool = PacketPool()
-    [packet] = pool.acquire_burst(
-        1, SRC, DST, size_bytes=512, vlan=7,
+    burst = pool.acquire_burst(
+        4, SRC, DST, size_bytes=512, vlan=7,
         protocol=Protocol.TCP, flow_id=3, created_at=1.5)
+    assert len(burst) == 4
+    packet = burst[0]
+    assert all(other is packet for other in burst)
     assert packet.src is SRC and packet.dst is DST
     assert packet.size_bytes == 512
     assert packet.vlan == 7
@@ -47,7 +58,8 @@ def test_acquire_burst_initializes_every_field():
 
 
 def _deliveries_for_one_run():
-    """Run a fixed two-VM SR-IOV scenario; record delivered seqs."""
+    """Run a fixed two-VM SR-IOV scenario; record each delivered batch
+    as runs of one header: (send time, size, packets)."""
     bed = Testbed()
     records = []
     for index in range(2):
@@ -56,7 +68,9 @@ def _deliveries_for_one_run():
         original = guest.driver.app.deliver
 
         def deliver(burst, now=0.0, capped=True, _orig=original):
-            records.append([p.seq for p in burst])
+            records.append([(header.created_at, header.size_bytes,
+                             len(list(run)))
+                            for header, run in groupby(burst)])
             return _orig(burst, now, capped)
 
         guest.driver.app.deliver = deliver
@@ -66,15 +80,12 @@ def _deliveries_for_one_run():
 
 
 def test_scenario_replays_with_identical_packet_sequences():
-    """(scenario, seed) -> identical seq streams within one process.
+    """(scenario, seed) -> the same delivered packets within one process.
 
-    This is the determinism the per-testbed pool buys: a second run of
-    the same scenario sees exactly the same packet sequence numbers in
-    exactly the same delivery batches, no matter what ran before it.
+    A second run of the same scenario delivers exactly the same runs of
+    packets in exactly the same batches, no matter what ran before it.
     """
-    Packet(SRC, DST)  # perturb the global sequence; pools must not care
     first = _deliveries_for_one_run()
-    Packet(SRC, DST)
     second = _deliveries_for_one_run()
     assert first, "scenario delivered no packets"
     assert first == second

@@ -8,9 +8,9 @@ with 1 leave: ledger cells (the one book of VM exits), core accounts,
 the vLAPIC's fractional carry, NAPI and VF counters, DMA bookings and the
 app's latency sums and bins.
 
-``NetserverApp.deliver`` groups a burst into runs of equal send time,
-size and protocol; :func:`_reference_deliver` keeps the per-packet loop
-it replaced as the reference it must match bit for bit.  Likewise one
+``NetserverApp.deliver`` groups a burst into runs of one shared
+header; :func:`_reference_deliver` keeps the per-packet loop it
+replaced as the reference it must match bit for bit.  Likewise one
 ``GrantTable.copy_burst`` must leave a grant table as granting, copying
 and revoking each packet in turn does.
 """
@@ -243,18 +243,25 @@ runs_strategy = st.lists(
     st.tuples(st.integers(min_value=1, max_value=20),       # packets
               st.integers(min_value=0, max_value=4000),     # send step, us
               st.sampled_from([40, 64, 512, 1500]),         # size
-              st.sampled_from([Protocol.UDP, Protocol.TCP])),
+              st.sampled_from([Protocol.UDP, Protocol.TCP]),
+              st.booleans()),                               # one header
     min_size=1, max_size=12)
 
 
 def _burst(runs, base=1.0):
+    """A run is ``n`` references to one header, as a netperf burst is,
+    or ``n`` distinct headers with equal fields; a zero step puts equal
+    fields in adjacent runs."""
     packets = []
     t = base
-    for n, step, size, protocol in runs:
+    for n, step, size, protocol, shared in runs:
         t -= step * 1e-6
-        for _ in range(n):
-            packets.append(Packet(_SRC, _DST, size, protocol=protocol,
-                                  created_at=t))
+        if shared:
+            packets += [Packet(_SRC, _DST, size, protocol=protocol,
+                               created_at=t)] * n
+        else:
+            packets += [Packet(_SRC, _DST, size, protocol=protocol,
+                               created_at=t) for _ in range(n)]
     return packets
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Counter, Histogram, RateMeter, Series, TimeWeighted
+from repro.sim import Counter, Histogram, RateMeter, Series
 
 
 class TestCounter:
@@ -39,29 +39,6 @@ class TestRateMeter:
     def test_empty_window_rate_zero(self):
         meter = RateMeter()
         assert meter.rate(now=0.0) == 0.0
-
-
-class TestTimeWeighted:
-    def test_mean_weighs_by_duration(self):
-        stat = TimeWeighted(initial=0.0)
-        stat.update(10.0, now=1.0)   # 0 for [0,1)
-        stat.update(0.0, now=3.0)    # 10 for [1,3)
-        # mean over [0,4) = (0*1 + 10*2 + 0*1)/4 = 5
-        assert stat.mean(now=4.0) == pytest.approx(5.0)
-
-    def test_extrema_tracked(self):
-        stat = TimeWeighted(initial=5.0)
-        stat.update(1.0, now=1.0)
-        stat.update(9.0, now=2.0)
-        assert stat.minimum == 1.0
-        assert stat.maximum == 9.0
-        assert stat.current == 9.0
-
-    def test_time_backwards_rejected(self):
-        stat = TimeWeighted()
-        stat.update(1.0, now=5.0)
-        with pytest.raises(ValueError):
-            stat.update(2.0, now=4.0)
 
 
 class TestHistogram:
