@@ -11,6 +11,8 @@ excess — the RX collapse of Fig. 10's fixed-frequency curves.
 from __future__ import annotations
 
 import math
+from itertools import groupby
+from operator import mul
 from typing import List, Optional, Tuple
 
 from repro.core.costs import CostModel
@@ -28,12 +30,11 @@ LATENCY_BIN = 10e-6
 
 
 def _payload(size_bytes: int, protocol: Protocol) -> int:
-    """Transport payload of one packet: application goodput counts it,
-    matching how netperf reports throughput (957 Mbps = payload over a
-    1 Gbps line, not wire bytes)."""
-    if protocol is Protocol.UDP:
-        return size_bytes - IP_HEADER_BYTES - UDP_HEADER_BYTES
-    return size_bytes - IP_HEADER_BYTES - TCP_HEADER_BYTES
+    """Transport payload of one packet, never negative: application
+    goodput counts it, matching how netperf reports throughput
+    (957 Mbps = payload over a 1 Gbps line, not wire bytes)."""
+    header = UDP_HEADER_BYTES if protocol is Protocol.UDP else TCP_HEADER_BYTES
+    return max(0, size_bytes - IP_HEADER_BYTES - header)
 
 
 class NetserverApp:
@@ -71,14 +72,10 @@ class NetserverApp:
         latencies: List[float] = []
         counts: List[int] = []
         payloads: List[int] = []
-        header = None
-        for packet in burst[:accepted]:
-            if packet is header:
-                counts[-1] += 1
-                continue
-            header = packet
+        # A Packet compares by identity, so groupby yields header runs.
+        for packet, run in groupby(burst[:accepted]):
             latencies.append(now - packet.created_at)
-            counts.append(1)
+            counts.append(len(list(run)))
             payloads.append(_payload(packet.size_bytes, packet.protocol))
         self.account(latencies, counts, payloads, total - accepted)
         return accepted, total - accepted
@@ -128,44 +125,36 @@ class NetserverApp:
 
         Packets come as runs, in delivery order: ``counts[i]`` packets
         of end-to-end latency ``latencies[i]`` carrying ``payloads[i]``
-        transport bytes each.  The latency sums take one addition per
-        packet in delivery order, so they are bit-identical however the
-        packets were grouped into runs.
+        transport bytes each (never negative).  The packet and byte
+        totals are integer sums.  The latency sum takes one float
+        addition per packet in delivery order, so it is bit-identical
+        however the packets were grouped into runs; builtin ``sum()``
+        would not be, as CPython 3.12 compensates its float sums.
         """
         latency = self.latency
         bins = latency._bins
         bin_get = bins.get
         bin_width = latency.bin_width
         lat_sum = latency._sum
-        lat_sum_sq = latency._sum_sq
         floor = math.floor
-        accepted = 0
-        payload = 0
-        for value, n, per_packet in zip(latencies, counts, payloads):
-            index = int(floor(value / bin_width))
+        for value, n in zip(latencies, counts):
+            index = floor(value / bin_width)
             bins[index] = bin_get(index, 0) + n
-            square = value * value
             # One addition per packet, left to right: unrolled by eight
             # (a netperf burst) with the remainder one at a time.
             left = n
             while left >= 8:
                 lat_sum = (lat_sum + value + value + value + value
                            + value + value + value + value)
-                lat_sum_sq = (lat_sum_sq + square + square + square + square
-                              + square + square + square + square)
                 left -= 8
             while left:
                 lat_sum += value
-                lat_sum_sq += square
                 left -= 1
-            accepted += n
-            if per_packet > 0:
-                payload += per_packet * n
+        accepted = sum(counts)
         latency._count += accepted
         latency._sum = lat_sum
-        latency._sum_sq = lat_sum_sq
         self.rx_packets += accepted
-        self.rx_bytes += payload
+        self.rx_bytes += sum(map(mul, payloads, counts))
         self.dropped_packets += dropped
         return accepted
 

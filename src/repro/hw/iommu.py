@@ -10,6 +10,7 @@ without hypervisor involvement.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Optional
 
 PAGE_SIZE = 4096
@@ -39,10 +40,11 @@ class IoPageTable:
         """Map a page-aligned range of guest-physical to machine-physical."""
         self._check_aligned(guest_addr, machine_addr, size)
         pages = size // PAGE_SIZE
-        for i in range(pages):
-            gfn = (guest_addr >> 12) + i
-            mfn = (machine_addr >> 12) + i
-            self._entries[gfn] = (mfn, writable)
+        gfn = guest_addr >> 12
+        mfn = machine_addr >> 12
+        self._entries.update(zip(range(gfn, gfn + pages),
+                                 zip(range(mfn, mfn + pages),
+                                     repeat(writable))))
 
     def unmap(self, guest_addr: int, size: int = PAGE_SIZE) -> None:
         if guest_addr & PAGE_MASK or size & PAGE_MASK:

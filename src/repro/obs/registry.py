@@ -110,7 +110,7 @@ class MetricsRegistry:
             return {"type": "gauge", "value": value}
         if kind == "histogram":
             doc = {"type": "histogram", "count": instrument.count,
-                   "mean": instrument.mean, "stdev": instrument.stdev}
+                   "mean": instrument.mean}
             if instrument.count:
                 doc["p50"] = instrument.percentile(50)
                 doc["p99"] = instrument.percentile(99)

@@ -68,7 +68,12 @@ class RateMeter:
 
 
 class Histogram:
-    """A histogram over fixed-width bins with percentile queries."""
+    """A histogram over fixed-width bins with percentile queries.
+
+    It keeps the bin counts, the sample count and the running sum (for
+    :attr:`mean`); ``NetserverApp.account`` books runs of samples into
+    them directly, one sum addition per sample.
+    """
 
     def __init__(self, bin_width: float, name: str = ""):
         if bin_width <= 0:
@@ -78,14 +83,12 @@ class Histogram:
         self._bins: Dict[int, int] = {}
         self._count = 0
         self._sum = 0.0
-        self._sum_sq = 0.0
 
     def add(self, value: float) -> None:
         index = int(math.floor(value / self.bin_width))
         self._bins[index] = self._bins.get(index, 0) + 1
         self._count += 1
         self._sum += value
-        self._sum_sq += value * value
 
     @property
     def count(self) -> int:
@@ -94,14 +97,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
-
-    @property
-    def stdev(self) -> float:
-        if self._count < 2:
-            return 0.0
-        mean = self.mean
-        var = max(0.0, self._sum_sq / self._count - mean * mean)
-        return math.sqrt(var)
 
     def percentile(self, p: float) -> float:
         """Return the lower edge of the bin containing the p-th percentile."""

@@ -52,15 +52,17 @@ def test_gauge_stringifies_exotic_values():
     assert isinstance(value, str)
 
 
-def test_histogram_and_time_weighted_render():
+def test_histogram_render():
     registry = MetricsRegistry()
     hist = registry.histogram("lat", bin_width=0.5)
     for v in (1.0, 2.0, 3.0):
         hist.add(v)
     snap = registry.snapshot()
+    assert set(snap["lat"]) == {"type", "count", "mean", "p50", "p99"}
     assert snap["lat"]["count"] == 3
     assert snap["lat"]["mean"] == pytest.approx(2.0)
-    assert "p99" in snap["lat"]
+    registry.histogram("idle")
+    assert set(registry.snapshot()["idle"]) == {"type", "count", "mean"}
 
 
 def test_snapshot_sorted_and_json_stable():

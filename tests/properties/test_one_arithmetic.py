@@ -223,7 +223,6 @@ def _reference_deliver(app, burst, now, capped=True):
         latency._bins[index] = latency._bins.get(index, 0) + 1
         latency._count += 1
         latency._sum += value
-        latency._sum_sq += value * value
     app.rx_bytes += payload
     app.dropped_packets += dropped
     return accepted, dropped
@@ -232,7 +231,7 @@ def _reference_deliver(app, burst, now, capped=True):
 def _app_books(app):
     latency = app.latency
     return (app.rx_packets, app.rx_bytes, app.dropped_packets,
-            latency._count, latency._sum, latency._sum_sq,
+            latency._count, latency._sum,
             list(latency._bins.items()))
 
 
@@ -285,9 +284,9 @@ def test_run_grouped_deliver_matches_the_per_packet_loop(bursts, capped):
 @settings(max_examples=60, deadline=None)
 def test_one_account_call_matches_per_packet_calls(runs):
     batched, per_packet = NetserverApp(), NetserverApp()
-    payloads = [size - IP_HEADER_BYTES
-                - (UDP_HEADER_BYTES if protocol is Protocol.UDP
-                   else TCP_HEADER_BYTES)
+    payloads = [max(0, size - IP_HEADER_BYTES
+                    - (UDP_HEADER_BYTES if protocol is Protocol.UDP
+                       else TCP_HEADER_BYTES))
                 for _value, _n, size, protocol in runs]
     assert batched.account([value for value, _n, _s, _p in runs],
                            [n for _v, n, _s, _p in runs], payloads, 3) \
@@ -300,7 +299,7 @@ def test_one_account_call_matches_per_packet_calls(runs):
 
 
 @given(st.lists(st.lists(st.tuples(st.integers(min_value=1, max_value=30),
-                                   st.integers(min_value=1, max_value=200)),
+                                   st.integers(min_value=0, max_value=200)),
                          min_size=1, max_size=8),
                 min_size=1, max_size=10),
        st.sampled_from([64, 1500]),
@@ -310,7 +309,9 @@ def test_fluid_window_delivers_like_one_exact_isr_per_fire(fires, size,
                                                            protocol):
     # One settle's virtual interrupts, each draining runs of (packets,
     # send step), against the exact ISR's per-interrupt deliver of the
-    # same packets: the app caps each interrupt on its own.
+    # same packets: the app caps each interrupt on its own.  A zero step
+    # gives consecutive runs one send time, as a cluster sender tick's
+    # one-frame inbound records have, which deliver_fluid merges.
     fluid, exact = NetserverApp(), NetserverApp()
     fire_times, drained, ends = [], [], []
     run_counts, run_times = [], []

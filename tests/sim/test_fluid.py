@@ -722,7 +722,6 @@ def _counters_snapshot(bed, guest, stream):
         "app_dropped": app.dropped_packets,
         "lat_count": lat._count,
         "lat_sum": lat._sum,
-        "lat_sum_sq": lat._sum_sq,
         "cycles": driver.domain.cycles_consumed,
         "events_total": bed.sim.events_executed + bed.sim.collapsed_events,
     }

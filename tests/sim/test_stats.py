@@ -64,12 +64,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             Histogram(bin_width=0.0)
 
-    def test_stdev(self):
-        hist = Histogram(bin_width=0.1)
-        for value in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-            hist.add(value)
-        assert hist.stdev == pytest.approx(2.0)
-
     def test_items_sorted(self):
         hist = Histogram(bin_width=10.0)
         hist.add(25.0)
