@@ -11,7 +11,7 @@ throughput at 957 Mbps.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.net.packet import Packet, wire_bytes
 from repro.sim.engine import Simulator
@@ -53,10 +53,6 @@ class Link:
         """Attach the receiver callback for this direction."""
         self._sink = sink
 
-    def serialization_delay(self, packet: Packet) -> float:
-        """Time to clock the frame (with Ethernet overhead) onto the wire."""
-        return wire_bytes(packet.size_bytes, packet.vlan) * 8 / self.rate_bps
-
     @property
     def up(self) -> bool:
         return self._up
@@ -64,14 +60,6 @@ class Link:
     def set_carrier(self, up: bool) -> None:
         """Raise or cut the line's carrier (fabric-side cable pull)."""
         self._up = bool(up)
-
-    @property
-    def busy(self) -> bool:
-        return self.sim.now < self._tx_free_at
-
-    @property
-    def queue_depth(self) -> int:
-        return self._queued
 
     def transmit(self, packet: Packet) -> bool:
         """Offer a frame for transmission.
@@ -85,44 +73,63 @@ class Link:
         if not self._up:
             self.dropped.add()
             return False
-        start = max(self.sim.now, self._tx_free_at)
-        backlog_delay = start - self.sim.now
-        # Frames ahead of us in the queue are already accounted inside
-        # _tx_free_at; the queue bound is on how far ahead we may book.
-        if backlog_delay > 0:
-            if self._queued >= self.queue_frames:
-                self.dropped.add()
-                return False
-            self._queued += 1
-        serialization = self.serialization_delay(packet)
-        self._tx_free_at = start + serialization
-        arrival = self._tx_free_at + self.propagation_delay
-        self.sim.schedule_at(arrival, self._deliver, packet, backlog_delay > 0)
+        arrivals, queued, tx_free = self.send(
+            self.sim.now, 1, wire_bytes(packet.size_bytes, packet.vlan),
+            self._tx_free_at, self._queued)
+        was_queued = queued > self._queued
+        self.account_sent(tx_free, was_queued, 1 - len(arrivals))
+        if not arrivals:
+            return False
+        self.sim.schedule_at(arrivals[0], self._deliver, packet, was_queued)
         return True
 
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds the line spent transmitting."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, (self.delivered_bytes.value * 8 / self.rate_bps) / elapsed)
+    def send(self, now: float, count: int, frame_bytes: int,
+             tx_free: float, queued: int) -> Tuple[List[float], int, float]:
+        """Serialize ``count`` frames of ``frame_bytes`` wire bytes
+        offered at ``now``, on a line whose transmitter goes idle at
+        ``tx_free`` with ``queued`` frames waiting.  Touches no state.
+
+        A frame offered while the transmitter is busy queues, up to
+        ``queue_frames`` waiting; past that it tail-drops, and so does
+        every later frame of the batch.  Returns the arrival times of
+        the frames sent, in order (the rest dropped), the queued count
+        after, and when the transmitter goes idle after.
+        """
+        serialization = frame_bytes * 8 / self.rate_bps
+        propagation = self.propagation_delay
+        arrivals: List[float] = []
+        append = arrivals.append
+        while count and tx_free <= now:  # the transmitter is idle
+            tx_free = now + serialization
+            append(tx_free + propagation)
+            count -= 1
+        # Busy from here on: frames queue behind tx_free while there is
+        # room, and the rest tail-drop.
+        count = max(0, min(count, self.queue_frames - queued))
+        queued += count
+        for _ in range(count):
+            tx_free += serialization
+            append(tx_free + propagation)
+        return arrivals, queued, tx_free
+
+    def account_sent(self, tx_free: float, queued: int, dropped: int) -> None:
+        """Book a :meth:`send`: the transmitter's idle time, the frames
+        it queued and the frames it tail-dropped."""
+        self._tx_free_at = tx_free
+        self._queued += queued
+        if dropped:
+            self.dropped.add(dropped)
+
+    def account_delivered(self, frames: int, queued: int,
+                          nbytes: int) -> None:
+        """Book ``frames`` deliveries of ``nbytes`` wire bytes in all,
+        ``queued`` of which had waited in the queue."""
+        self._queued -= queued
+        self.delivered.add(frames)
+        self.delivered_bytes.add(nbytes)
 
     def _deliver(self, packet: Packet, was_queued: bool) -> None:
-        if was_queued:
-            self._queued -= 1
-        self.delivered.add()
-        self.delivered_bytes.add(wire_bytes(packet.size_bytes, packet.vlan))
+        self.account_delivered(1, was_queued,
+                               wire_bytes(packet.size_bytes, packet.vlan))
         assert self._sink is not None
         self._sink(packet)
-
-
-def duplex_pair(
-    sim: Simulator,
-    rate_bps: float,
-    propagation_delay: float = 0.0,
-    queue_frames: int = 128,
-    name: str = "link",
-) -> "tuple[Link, Link]":
-    """Create the two directions of a full-duplex line."""
-    forward = Link(sim, rate_bps, propagation_delay, queue_frames, f"{name}.fwd")
-    backward = Link(sim, rate_bps, propagation_delay, queue_frames, f"{name}.rev")
-    return forward, backward

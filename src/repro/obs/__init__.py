@@ -41,7 +41,7 @@ from repro.obs.export import (
     trace_to_jsonl,
     write_trace,
 )
-from repro.obs.ledger import EXIT_PREFIX, NULL_LEDGER, CycleLedger, NullCycleLedger
+from repro.obs.ledger import EXIT_PREFIX, CycleLedger
 from repro.obs.profiler import EngineProfiler
 from repro.obs.registry import (
     NULL_REGISTRY,
@@ -63,9 +63,7 @@ __all__ = [
     "MetricsError",
     "MetricsRegistry",
     "MetricsScope",
-    "NULL_LEDGER",
     "NULL_REGISTRY",
-    "NullCycleLedger",
     "NullRegistry",
     "Telemetry",
     "chrome_trace_events",

@@ -14,15 +14,17 @@ the layer that watches a whole campaign at once:
 * :mod:`repro.obs.campaign.hub` — the parent side.  The
   :class:`TelemetryHub` ingests spool records as they appear, stamps
   them with host wall-clock, appends every record to a crash-safe
-  ``campaign.jsonl`` journal, and maintains fleet-level aggregates
-  (per-cell state, throughput history, ETA, slowest cells, fault and
-  audit counters).
+  ``campaign.jsonl`` journal, and folds each into its per-cell state
+  with the report's own :func:`~repro.obs.campaign.report.fold`.  From
+  those cells it derives the fleet view: status counts, throughput
+  history, ETA, slowest cells and fault counters.
 * :mod:`repro.obs.campaign.dashboard` — an in-terminal (pure ANSI,
   zero dependencies) live view fed from the hub; degrades to periodic
   single-line summaries when stderr is not a TTY.
-* :mod:`repro.obs.campaign.report` — ``repro report``: renders a
-  journal (optionally diffed against a prior one) into a
-  self-contained static HTML file with inline CSS/JS only.
+* :mod:`repro.obs.campaign.report` — ``repro report``: replays a
+  journal through :func:`~repro.obs.campaign.report.fold` (optionally
+  diffed against a prior one) and renders a self-contained static HTML
+  file with inline CSS/JS only.
 
 Hard contract, inherited from the telemetry/ledger split: the hub is
 **observation-only**.  Cached results, cache keys, checkpoints and

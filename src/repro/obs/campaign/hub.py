@@ -16,13 +16,16 @@ directions:
   twice.
 
 Every record — hub-originated or ingested — is stamped with host
-wall-clock and a monotonic journal sequence number, then appended to
-the ``campaign.jsonl`` journal and folded into the in-memory fleet
-aggregates the dashboard renders.  The journal is append-only and
-flushed per record: a SIGKILL loses at most the record being written,
-and a ``--resume`` of the same campaign reopens the same journal in
-append mode, skipping re-emission for cells whose successful terminal
-records are already present (no duplicates, no losses).
+wall-clock, folded into :attr:`TelemetryHub.cells` by
+:func:`repro.obs.campaign.report.fold`, the function ``repro report``
+replays the journal with, and then given a monotonic journal sequence
+number and appended to the ``campaign.jsonl`` journal.  The live view
+is therefore what the report will show.  The journal is append-only
+and flushed per record: a SIGKILL loses at most the record being
+written, and a ``--resume`` of the same campaign reopens the same
+journal in append mode, skipping re-emission for cells whose
+successful terminal records are already present (no duplicates, no
+losses); those records are still folded into the live cells.
 
 The hub is observation-only by construction: it never blocks a worker
 (spool writes are the workers' own, journal writes are the parent's),
@@ -39,9 +42,9 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.campaign.report import Cell, aggregate_metrics, fold
 from repro.obs.campaign.snapshot import (JOURNAL_SCHEMA, SnapshotError,
                                          validate_record)
-from repro.sim.stats import Series
 
 #: Cell states the task grid distinguishes.
 CELL_STATES = ("pending", "running", "ok", "retried", "timed_out",
@@ -49,38 +52,6 @@ CELL_STATES = ("pending", "running", "ok", "retried", "timed_out",
 
 #: Metric-name prefixes surfaced as live dashboard counters.
 FAULT_PREFIX = "faults."
-
-
-class CellState:
-    """Everything the hub knows about one campaign cell."""
-
-    __slots__ = ("key", "status", "cached", "attempts", "started_wall",
-                 "ended_wall", "sim_now", "events_executed",
-                 "events_per_sec", "result", "error", "faults_fired")
-
-    def __init__(self, key: str):
-        self.key = key
-        self.status = "pending"
-        self.cached = False
-        self.attempts = 0
-        self.started_wall: Optional[float] = None
-        self.ended_wall: Optional[float] = None
-        self.sim_now: float = 0.0
-        self.events_executed: int = 0
-        self.events_per_sec: float = 0.0
-        self.result: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
-        self.faults_fired: int = 0
-
-    @property
-    def runtime(self) -> Optional[float]:
-        if self.started_wall is None or self.ended_wall is None:
-            return None
-        return self.ended_wall - self.started_wall
-
-    @property
-    def done(self) -> bool:
-        return self.status in ("ok", "retried", "timed_out", "failed")
 
 
 class TelemetryHub:
@@ -103,16 +74,13 @@ class TelemetryHub:
         #: (from a prior run being resumed): suppress re-emission.
         self._settled: set = set()
         self._offsets: Dict[Path, int] = {}
-        self.cells: Dict[str, CellState] = {}
+        #: Per-key cells, folded by ``report.fold`` from every record
+        #: the hub stamps, settled cells' records included.
+        self.cells: Dict[str, Cell] = {}
         self.total = 0
         self.workers = 1
-        self.started_wall = clock()
         #: (wall, fleet events/s) samples for the throughput sparkline.
         self.throughput_history: List[Tuple[float, float]] = []
-        #: Cross-cell metric values from task_end snapshots.
-        self._metric_values: Dict[str, Series] = {}
-        self.fault_counts: Dict[str, float] = {}
-        self.audits_passed = 0
         self._load_existing()
         self._open_journal()
 
@@ -152,12 +120,15 @@ class TelemetryHub:
             self.journal_errors += 1
             self._journal = None
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        """Stamp and journal one record (in-memory state is updated by
-        the caller; this is purely the durable trail)."""
-        self._seq += 1
-        record = dict(record)
+    def _append(self, record: Dict[str, Any], journal: bool = True) -> None:
+        """Stamp one record with host wall-clock, fold it into its cell
+        and, unless a prior run settled that cell (``journal=False``),
+        number it and append it to the journal."""
         record["wall"] = self._clock()
+        fold(self.cells, record)
+        if not journal:
+            return
+        self._seq += 1
         record["seq"] = self._seq
         if self._journal is None:
             return
@@ -166,12 +137,6 @@ class TelemetryHub:
             self._journal.flush()
         except (OSError, ValueError):
             self.journal_errors += 1
-
-    def _cell(self, key: str) -> CellState:
-        cell = self.cells.get(key)
-        if cell is None:
-            cell = self.cells[key] = CellState(key)
-        return cell
 
     # ------------------------------------------------------------------
     # runner-facing events
@@ -191,20 +156,12 @@ class TelemetryHub:
         self._render()
 
     def cache_hit(self, key: str) -> None:
-        cell = self._cell(key)
-        cell.status = "ok"
-        cell.cached = True
-        now = self._clock()
-        cell.started_wall = cell.started_wall or now
-        cell.ended_wall = now
-        if key not in self._settled:
-            self._settled.add(key)
-            self._append({"kind": "cache_hit", "key": key})
+        journal = key not in self._settled
+        self._settled.add(key)
+        self._append({"kind": "cache_hit", "key": key}, journal=journal)
         self._render()
 
     def cache_quarantined(self, key: str) -> None:
-        cell = self._cell(key)
-        cell.status = "quarantined"
         self._append({"kind": "cache_quarantined", "key": key})
         self._render()
 
@@ -212,11 +169,6 @@ class TelemetryHub:
     # supervisor-facing events
     # ------------------------------------------------------------------
     def task_running(self, key: str, attempt: int) -> None:
-        cell = self._cell(key)
-        cell.status = "running"
-        cell.attempts = attempt
-        if cell.started_wall is None:
-            cell.started_wall = self._clock()
         self._append({"kind": "task_running", "key": key,
                       "attempt": attempt})
         self._render()
@@ -225,21 +177,14 @@ class TelemetryHub:
         """A :class:`~repro.sweep.supervise.TaskOutcome` reached its
         terminal state."""
         self.poll()  # drain the worker's final spool records first
-        cell = self._cell(outcome.key)
-        cell.status = outcome.status
-        cell.attempts = outcome.attempts
-        cell.error = outcome.error
-        cell.ended_wall = self._clock()
-        if outcome.key in self._settled:
-            self._render()
-            return
+        journal = outcome.key not in self._settled
         if outcome.status in ("ok", "retried"):
             self._settled.add(outcome.key)
         record = {"kind": "task_terminal", "key": outcome.key,
                   "status": outcome.status, "attempts": outcome.attempts}
         if outcome.error is not None:
             record["error"] = outcome.error
-        self._append(record)
+        self._append(record, journal=journal)
         self._render()
 
     def finalize(self, stats=None) -> None:
@@ -320,46 +265,9 @@ class TelemetryHub:
                 record = validate_record(json.loads(line.decode("utf-8")))
             except (ValueError, SnapshotError):
                 continue
-            self._ingest(record)
+            self._append(record, journal=record["key"] not in self._settled)
             count += 1
         return count
-
-    def _ingest(self, record: Dict[str, Any]) -> None:
-        key = record["key"]
-        kind = record["kind"]
-        cell = self._cell(key)
-        if kind == "progress":
-            cell.sim_now = float(record.get("sim_now") or 0.0)
-            cell.events_executed = int(record.get("events_executed") or 0)
-            cell.events_per_sec = float(record.get("events_per_sec") or 0.0)
-        elif kind == "task_end":
-            cell.result = record.get("result") or {}
-            cell.sim_now = float(record.get("sim_now") or cell.sim_now)
-            cell.events_executed = int(record.get("events_executed")
-                                       or cell.events_executed)
-            self._fold_metrics(record.get("metrics") or {})
-        if key not in self._settled:
-            self._append(record)
-
-    def _fold_metrics(self, metrics: Dict[str, Any]) -> None:
-        """Cross-cell aggregation: every scalar metric value goes into
-        a per-name Series (cells are the samples; the index is the
-        fold order, which only the percentiles care about — and those
-        are order-free)."""
-        for name, doc in metrics.items():
-            if not isinstance(doc, dict):
-                continue
-            value = doc.get("value", doc.get("mean"))
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                continue
-            series = self._metric_values.get(name)
-            if series is None:
-                series = self._metric_values[name] = Series(name)
-            series.record(float(len(series)), float(value))
-            if name.startswith(FAULT_PREFIX):
-                self.fault_counts[name] = \
-                    self.fault_counts.get(name, 0.0) + float(value)
 
     # ------------------------------------------------------------------
     # aggregates (dashboard / report surface)
@@ -402,10 +310,19 @@ class TelemetryHub:
             if self.throughput_history else 0.0
 
     def aggregate_metrics(self) -> Dict[str, Dict[str, float]]:
-        """Per-metric min/mean/max/percentile summary across cells
-        (:meth:`Series.summary` — the satellite helpers at work)."""
-        return {name: series.summary(percentiles=(50, 99))
-                for name, series in sorted(self._metric_values.items())}
+        """Per-metric min/mean/p50/p99/max across cells, as the report
+        tabulates them."""
+        return aggregate_metrics(self.cells)
+
+    @property
+    def fault_counts(self) -> Dict[str, float]:
+        """Every ``faults.*`` metric summed across cells."""
+        counts: Dict[str, float] = {}
+        for cell in self.cells.values():
+            for name, value in cell.scalar_metrics():
+                if name.startswith(FAULT_PREFIX):
+                    counts[name] = counts.get(name, 0.0) + value
+        return counts
 
     # ------------------------------------------------------------------
     # display

@@ -16,6 +16,9 @@ CDN, no dependencies.  Sections:
 * regression deltas: given ``--baseline`` (a prior journal), per-key
   throughput and runtime deltas, worst first.
 
+Cell state has one source, :func:`fold`: :func:`replay` folds a whole
+journal with it, and the live hub folds each record as it journals it.
+
 Loading is strict (:func:`load_journal` validates the schema header
 and every record) because CI asserts journals validate; *rendering*
 is tolerant — a journal truncated by SIGKILL still reports whatever
@@ -24,10 +27,10 @@ settled before the kill.
 
 from __future__ import annotations
 
-import html
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.campaign.snapshot import (JOURNAL_SCHEMA, SnapshotError,
                                          validate_record)
@@ -73,22 +76,22 @@ def load_journal(path, *, strict: bool = True) -> List[Dict[str, Any]]:
     return records
 
 
-class CellReport:
-    """One cell's journal records replayed into report rows."""
+@dataclass
+class Cell:
+    """One campaign cell: its journal records folded into state."""
 
-    def __init__(self, key: str):
-        self.key = key
-        self.status = "pending"
-        self.cached = False
-        self.attempts = 0
-        self.error: Optional[str] = None
-        self.started_wall: Optional[float] = None
-        self.ended_wall: Optional[float] = None
-        self.sim_now: float = 0.0
-        self.result: Dict[str, Any] = {}
-        self.metrics: Dict[str, Any] = {}
-        #: (wall, events/s) heartbeat samples for the timeline.
-        self.timeline: List[Tuple[float, float]] = []
+    key: str
+    status: str = "pending"
+    cached: bool = False
+    attempts: int = 0
+    error: Optional[str] = None
+    started_wall: Optional[float] = None
+    ended_wall: Optional[float] = None
+    sim_now: float = 0.0
+    result: Dict[str, Any] = field(default_factory=dict)
+    metrics: Dict[str, Any] = field(default_factory=dict)
+    #: (wall, events/s) heartbeat samples for the timeline.
+    timeline: List[Tuple[float, float]] = field(default_factory=list)
 
     @property
     def runtime(self) -> Optional[float]:
@@ -97,73 +100,89 @@ class CellReport:
         return self.ended_wall - self.started_wall
 
     @property
+    def done(self) -> bool:
+        return self.status in ("ok", "retried", "timed_out", "failed")
+
+    @property
+    def events_per_sec(self) -> float:
+        """The last heartbeat's rate."""
+        return self.timeline[-1][1] if self.timeline else 0.0
+
+    @property
     def throughput_bps(self) -> float:
         return float(self.result.get("throughput_bps") or 0.0)
 
+    def scalar_metrics(self) -> Iterator[Tuple[str, float]]:
+        """``(name, value)`` of every numeric metric: its ``value``, or
+        its ``mean`` when it has none."""
+        for name, doc in self.metrics.items():
+            if not isinstance(doc, dict):
+                continue
+            value = doc.get("value", doc.get("mean"))
+            if isinstance(value, (int, float)) \
+                    and not isinstance(value, bool):
+                yield name, float(value)
 
-def replay(records: List[Dict[str, Any]]) -> Dict[str, CellReport]:
-    """Journal records -> per-key cell reports, in first-seen order."""
-    cells: Dict[str, CellReport] = {}
 
-    def cell(key: str) -> CellReport:
-        if key not in cells:
-            cells[key] = CellReport(key)
-        return cells[key]
+def fold(cells: Dict[str, Cell], record: Dict[str, Any]) -> None:
+    """Fold one journal record into its cell, created on first sight
+    (so ``cells`` keeps first-seen order)."""
+    key = record.get("key")
+    if not isinstance(key, str):
+        return
+    cell = cells.get(key)
+    if cell is None:
+        cell = cells[key] = Cell(key)
+    kind = record["kind"]
+    wall = float(record["wall"])
+    if kind == "cache_hit":
+        cell.status, cell.cached = "ok", True
+        cell.started_wall = cell.started_wall or wall
+        cell.ended_wall = wall
+    elif kind == "cache_quarantined":
+        cell.status = "quarantined"
+    elif kind == "task_running":
+        cell.status = "running"
+        cell.attempts = int(record.get("attempt") or 0)
+        if cell.started_wall is None:
+            cell.started_wall = wall
+    elif kind == "progress":
+        cell.timeline.append(
+            (wall, float(record.get("events_per_sec") or 0.0)))
+        cell.sim_now = float(record.get("sim_now") or cell.sim_now)
+    elif kind == "task_end":
+        cell.result = dict(record.get("result") or {})
+        cell.metrics = dict(record.get("metrics") or {})
+        cell.sim_now = float(record.get("sim_now") or cell.sim_now)
+    elif kind == "task_terminal":
+        cell.status = record.get("status") or cell.status
+        cell.attempts = int(record.get("attempts") or cell.attempts)
+        cell.error = record.get("error")
+        cell.ended_wall = wall
 
+
+def replay(records: List[Dict[str, Any]]) -> Dict[str, Cell]:
+    """Journal records -> per-key cells, in first-seen order."""
+    cells: Dict[str, Cell] = {}
     for record in records:
-        kind = record["kind"]
-        key = record.get("key")
-        if not isinstance(key, str):
-            continue
-        state = cell(key)
-        wall = float(record["wall"])
-        if kind == "cache_hit":
-            state.status, state.cached = "ok", True
-            state.started_wall = state.started_wall or wall
-            state.ended_wall = wall
-        elif kind == "cache_quarantined":
-            state.status = "quarantined"
-        elif kind == "task_running":
-            state.status = "running"
-            state.attempts = int(record.get("attempt") or 0)
-            if state.started_wall is None:
-                state.started_wall = wall
-        elif kind == "progress":
-            state.timeline.append(
-                (wall, float(record.get("events_per_sec") or 0.0)))
-            state.sim_now = float(record.get("sim_now") or state.sim_now)
-        elif kind == "task_end":
-            state.result = dict(record.get("result") or {})
-            state.metrics = dict(record.get("metrics") or {})
-            state.sim_now = float(record.get("sim_now") or state.sim_now)
-        elif kind == "task_terminal":
-            state.status = record.get("status") or state.status
-            state.attempts = int(record.get("attempts") or state.attempts)
-            state.error = record.get("error")
-            state.ended_wall = wall
+        fold(cells, record)
     return cells
 
 
-def aggregate_metrics(cells: Dict[str, CellReport]
+def aggregate_metrics(cells: Dict[str, Cell]
                       ) -> Dict[str, Dict[str, float]]:
     """Cross-cell scalar-metric summaries (min/mean/p50/p99/max)."""
     folded: Dict[str, Series] = {}
     for cell in cells.values():
-        for name, doc in cell.metrics.items():
-            if not isinstance(doc, dict):
-                continue
-            value = doc.get("value", doc.get("mean"))
-            if not isinstance(value, (int, float)) \
-                    or isinstance(value, bool):
-                continue
+        for name, value in cell.scalar_metrics():
             series = folded.setdefault(name, Series(name))
-            series.record(float(len(series)), float(value))
+            series.record(float(len(series)), value)
     return {name: series.summary(percentiles=(50, 99))
             for name, series in sorted(folded.items())}
 
 
-def regression_rows(cells: Dict[str, CellReport],
-                    baseline: Dict[str, CellReport]
+def regression_rows(cells: Dict[str, Cell],
+                    baseline: Dict[str, Cell]
                     ) -> List[List[object]]:
     """Per-key deltas vs a prior journal, worst throughput drop first."""
     rows = []
@@ -252,7 +271,8 @@ def _fmt(value, digits=2) -> str:
     return str(value)
 
 
-def _cell_rows(cells: Dict[str, CellReport]) -> List[str]:
+def _cell_rows(cells: Dict[str, Cell]) -> List[str]:
+    import html
     rows = []
     for key, cell in sorted(cells.items()):
         result = cell.result
@@ -285,6 +305,9 @@ def render_report(records: List[Dict[str, Any]],
                   baseline_records: Optional[List[Dict[str, Any]]] = None,
                   title: str = "campaign report") -> str:
     """The full standalone HTML document as a string."""
+    # Imported here: html.entities costs ~0.5 MB wherever repro.obs is
+    # imported, and the live hub imports this module only to fold.
+    import html
     cells = replay(records)
     head = records[0]
     tail = records[-1] if records[-1]["kind"] == "campaign_end" else None

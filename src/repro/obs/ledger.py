@@ -127,46 +127,3 @@ class CycleLedger:
                             for cat, (count, cyc) in self.by_category().items()},
             "total_cycles": self.total_cycles,
         }
-
-
-class NullCycleLedger:
-    """The no-op ledger: charge() is free, snapshots are empty."""
-
-    def charge(self, domain: str, category: str, cycles: float,
-               count: int = 1) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def cycles(self, domain=None, category=None) -> float:
-        return 0.0
-
-    def count(self, domain=None, category=None) -> int:
-        return 0
-
-    @property
-    def total_cycles(self) -> float:
-        return 0.0
-
-    def domains(self) -> list:
-        return []
-
-    def categories(self, prefix=None) -> list:
-        return []
-
-    def by_category(self, prefix=None) -> dict:
-        return {}
-
-    def by_domain(self) -> dict:
-        return {}
-
-    def exit_breakdown(self) -> dict:
-        return {}
-
-    def snapshot(self) -> dict:
-        return {}
-
-
-#: Shared default instance (stateless, so sharing is safe).
-NULL_LEDGER = NullCycleLedger()

@@ -266,34 +266,19 @@ class FluidHostFlow(FluidTxFlow):
         # predate the tick's).
         while queued_at and queued_at[0] <= tick_time:
             queued_at.popleft()
-        link = self._link
-        ser = self._wire_frame * 8 / link.rate_bps
-        prop = link.propagation_delay
-        queue_frames = link.queue_frames
-        tx_free = self._tx_free
-        flight = self._flight
-        egress = self._egress_q
-        sent = queued = drops = 0
-        for _ in range(passed):
-            start = tx_free if tx_free > tick_time else tick_time
-            if start > tick_time:
-                if len(queued_at) >= queue_frames:
-                    drops += 1
-                    continue
-                was_queued = True
-            else:
-                was_queued = False
-            tx_free = start + ser
-            arrival = tx_free + prop
-            if was_queued:
-                queued_at.append(arrival)
-                queued += 1
-            entry = (arrival, tick_time, was_queued)
-            flight.append(entry)
-            egress.append(entry)
-            sent += 1
-        self._tx_free = tx_free
-        return sent, queued, drops, tx_free
+        waiting = len(queued_at)
+        arrivals, waiting_after, self._tx_free = self._link.send(
+            tick_time, passed, self._wire_frame, self._tx_free, waiting)
+        sent = len(arrivals)
+        queued = waiting_after - waiting
+        entries = [(arrival, tick_time, True) for arrival in arrivals]
+        # The frames that found the transmitter idle lead the tick.
+        for index in range(sent - queued):
+            entries[index] = (arrivals[index], tick_time, False)
+        queued_at.extend(arrivals[sent - queued:])
+        self._flight.extend(entries)
+        self._egress_q.extend(entries)
+        return sent, queued, passed - sent, self._tx_free
 
     def take_egress(self, limit: float, inclusive: bool):
         """Pop the frames delivered before ``limit`` (or at it, when
@@ -360,11 +345,7 @@ class FluidHostFlow(FluidTxFlow):
                 sent, queued, link_drops, tx_free = (
                     self._wire_tick(tick_time, passed) if passed
                     else (0, 0, 0, self._tx_free))
-            link = self._link
-            link._tx_free_at = tx_free
-            link._queued += queued
-            if link_drops:
-                link.dropped.value += link_drops
+            self._link.account_sent(tx_free, queued, link_drops)
             self.vf.account_tx(sent, sent * stream.mtu, count - sent)
         else:
             passed = 0
@@ -394,10 +375,8 @@ class FluidHostFlow(FluidTxFlow):
             else:
                 break
         if delivered:
-            link = self._link
-            link._queued -= queued
-            link.delivered.value += delivered
-            link.delivered_bytes.value += delivered * self._wire_frame
+            self._link.account_delivered(delivered, queued,
+                                         delivered * self._wire_frame)
             self.host.uplink_tx_frames += delivered
             self.sim.collapsed_events += delivered
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.net import Link, Packet
-from repro.net.link import duplex_pair
 from repro.net.mac import MacAddress
 from repro.sim import Simulator
 
@@ -17,13 +16,6 @@ def make_link(sim, rate=GIGABIT, **kwargs):
     received = []
     link.connect(received.append)
     return link, received
-
-
-def test_serialization_delay_for_full_frame():
-    sim = Simulator()
-    link, _ = make_link(sim)
-    packet = Packet(src=SRC, dst=DST, size_bytes=1500)
-    assert link.serialization_delay(packet) == pytest.approx(1538 * 8 / GIGABIT)
 
 
 def test_packet_arrives_after_serialization_and_propagation():
@@ -88,26 +80,3 @@ def test_invalid_parameters_rejected():
         Link(sim, rate_bps=0)
     with pytest.raises(ValueError):
         Link(sim, rate_bps=GIGABIT, queue_frames=-1)
-
-
-def test_duplex_pair_directions_independent():
-    sim = Simulator()
-    fwd, rev = duplex_pair(sim, rate_bps=GIGABIT)
-    got_fwd, got_rev = [], []
-    fwd.connect(got_fwd.append)
-    rev.connect(got_rev.append)
-    fwd.transmit(Packet(src=SRC, dst=DST))
-    rev.transmit(Packet(src=DST, dst=SRC))
-    sim.run()
-    assert len(got_fwd) == 1
-    assert len(got_rev) == 1
-
-
-def test_utilization_reflects_delivered_bytes():
-    sim = Simulator()
-    link, _ = make_link(sim)
-    for _ in range(10):
-        link.transmit(Packet(src=SRC, dst=DST, size_bytes=1500))
-    sim.run(until=1.0)
-    expected = 10 * 1538 * 8 / GIGABIT
-    assert link.utilization(1.0) == pytest.approx(expected)

@@ -7,6 +7,7 @@ from pathlib import Path
 from repro.obs.campaign.dashboard import (Dashboard, format_eta,
                                           format_rate, sparkline)
 from repro.obs.campaign.hub import TelemetryHub
+from repro.obs.campaign.report import aggregate_metrics, load_journal, replay
 from repro.obs.campaign.snapshot import JOURNAL_SCHEMA, SNAPSHOT_SCHEMA
 from repro.sweep.supervise import TaskOutcome
 
@@ -21,6 +22,13 @@ class FakeClock:
     def tick(self, seconds=1.0):
         self.now += seconds
         return self.now
+
+
+class SteppingClock(FakeClock):
+    """Advances on every call, so no two stamps are equal."""
+
+    def __call__(self):
+        return self.tick(0.25)
 
 
 def read_journal(path):
@@ -222,6 +230,62 @@ class TestSpoolIngestion:
         hub.campaign_start(total=1)
         hub.finalize()
         assert not hub.spool_dir.exists()
+
+
+class TestLiveViewIsTheJournal:
+    def test_replayed_journal_equals_the_live_cells(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        hub = TelemetryHub(journal, clock=SteppingClock())
+        hub.campaign_start(total=4, workers=2)
+        hub.cache_hit("hit")
+        hub.cache_quarantined("requeued")
+        hub.task_running("requeued", 1)
+        hub.spool_dir.mkdir(parents=True)
+        spool_write(hub.spool_dir, "requeued", [
+            {"kind": "task_start", "scenario": {"vm_count": 1}},
+            {"kind": "progress", "sim_now": 0.2, "events_executed": 100,
+             "events_per_sec": 1000.0},
+            {"kind": "progress", "sim_now": 0.4, "events_executed": 300,
+             "events_per_sec": 3000.0},
+            {"kind": "task_end", "sim_now": 0.5,
+             "result": {"throughput_bps": 9e9},
+             "metrics": {"faults.drop": {"value": 2.0},
+                         "net.latency": {"type": "histogram", "count": 3,
+                                         "mean": 1.5e-5}}},
+        ])
+        hub.poll()
+        hub.task_terminal(TaskOutcome(key="requeued", status="ok",
+                                      attempts=1))
+        hub.task_running("flaky", 1)
+        hub.task_running("flaky", 2)
+        hub.task_terminal(TaskOutcome(key="flaky", status="retried",
+                                      attempts=2))
+        hub.task_running("broken", 1)
+        hub.task_terminal(TaskOutcome(key="broken", status="failed",
+                                      attempts=3, error="boom"))
+        hub.finalize()
+
+        cells = replay(load_journal(journal, strict=True))
+        # Key order and every field (status, cached, attempts, error,
+        # start and end walls, sim_now, result, metrics, timeline).
+        assert list(cells.items()) == list(hub.cells.items())
+        assert aggregate_metrics(cells) == hub.aggregate_metrics()
+        assert set(hub.aggregate_metrics()) == {"faults.drop",
+                                                "net.latency"}
+        assert hub.fault_counts == {"faults.drop": 2.0}
+
+        # The live cells are the scripted campaign, not an empty match.
+        assert list(hub.cells) == ["hit", "requeued", "flaky", "broken"]
+        assert [cell.status for cell in hub.cells.values()] == [
+            "ok", "ok", "retried", "failed"]
+        assert hub.cells["hit"].cached
+        requeued = hub.cells["requeued"]
+        assert requeued.sim_now == 0.5
+        assert requeued.events_per_sec == 3000.0
+        assert [rate for _, rate in requeued.timeline] == [1000.0, 3000.0]
+        assert requeued.runtime > 0
+        assert hub.cells["flaky"].attempts == 2
+        assert hub.cells["broken"].error == "boom"
 
 
 class TestAggregates:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.ledger import EXIT_PREFIX, NULL_LEDGER, CycleLedger
+from repro.obs.ledger import EXIT_PREFIX, CycleLedger
 
 
 def test_charge_and_query():
@@ -63,10 +63,3 @@ def test_snapshot_shape_and_determinism():
     other.charge("vm0", "a", 1.0)
     other.charge("vm1", "b", 2.0)
     assert other.snapshot() == snap
-
-
-def test_null_ledger_is_inert():
-    NULL_LEDGER.charge("vm0", "x", 1e9)
-    assert NULL_LEDGER.total_cycles == 0.0
-    assert NULL_LEDGER.snapshot() == {}
-    assert NULL_LEDGER.exit_breakdown() == {}

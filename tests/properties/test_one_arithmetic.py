@@ -12,7 +12,8 @@ app's latency sums and bins.
 header; :func:`_reference_deliver` keeps the per-packet loop it
 replaced as the reference it must match bit for bit.  Likewise one
 ``GrantTable.copy_burst`` must leave a grant table as granting, copying
-and revoking each packet in turn does.
+and revoking each packet in turn does, and one ``Link.send`` of ``n``
+frames must leave a line as ``n`` one-frame sends do.
 """
 
 import copy
@@ -30,6 +31,7 @@ from repro.devices.igb82576 import Igb82576Port
 from repro.drivers.guest_app import NetserverApp
 from repro.hw.iommu import Iommu
 from repro.hw.pcie.datapath import PcieDataPath
+from repro.net.link import Link
 from repro.net.mac import MacAddress
 from repro.net.packet import (IP_HEADER_BYTES, Packet, Protocol,
                               TCP_HEADER_BYTES, UDP_HEADER_BYTES)
@@ -199,6 +201,35 @@ def test_dma_bookings_batch(bookings):
              pipes[0].transfers.value)
             == (pipes[1]._busy_until, pipes[1].transferred_bytes.value,
                 pipes[1].transfers.value))
+
+
+# ----------------------------------------------------------------------
+# the wire: serialization, queue and tail drop
+# ----------------------------------------------------------------------
+@given(st.integers(min_value=0, max_value=40),
+       st.integers(min_value=0, max_value=12),
+       st.integers(min_value=64, max_value=9038),
+       st.sampled_from(["before", "at", "after"]),
+       st.floats(min_value=1e-9, max_value=1e-3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_send_matches_per_frame_sends(n, queue_frames, frame_bytes,
+                                          idle, offset, data):
+    link = Link(Simulator(), rate_bps=1e9, propagation_delay=2e-6,
+                queue_frames=queue_frames)
+    now = 0.25
+    tx_free = {"before": now - offset, "at": now,
+               "after": now + offset}[idle]
+    queued = data.draw(st.integers(min_value=0, max_value=queue_frames))
+    arrivals, queued_after, tx_free_after = link.send(
+        now, n, frame_bytes, tx_free, queued)
+    one_by_one, drops = [], 0
+    for _ in range(n):
+        sent, queued, tx_free = link.send(now, 1, frame_bytes, tx_free,
+                                          queued)
+        one_by_one += sent
+        drops += 1 - len(sent)
+    assert (arrivals, queued_after, n - len(arrivals), tx_free_after) \
+        == (one_by_one, queued, drops, tx_free)
 
 
 # ----------------------------------------------------------------------
