@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.api import Scenario, run
 from repro.core.experiment import RunResult
@@ -99,9 +99,9 @@ def _campaign_parent() -> argparse.ArgumentParser:
                         help="extra attempts after the first for worker "
                              "crashes/timeouts (default: %(default)s)")
     robust.add_argument("--checkpoint", default=None, metavar="FILE",
-                        help="write an atomic campaign checkpoint after "
-                             "every task; resume an interrupted campaign "
-                             "with --resume FILE")
+                        help="record the campaign's restart recipe in "
+                             "FILE before the first task; resume an "
+                             "interrupted campaign with --resume FILE")
     robust.add_argument("--resume", default=None, metavar="FILE",
                         help="resume the campaign recorded in a "
                              "checkpoint file; completed cells come from "
@@ -542,22 +542,49 @@ def _supervise_for(args):
                            max_retries=args.max_retries)
 
 
-def _load_resume(args, kind: str):
-    """The checkpoint behind ``--resume``, validated for this command."""
+def _campaign_command(args, kind: str, conflict: Optional[str],
+                      fresh: Callable[[], Dict[str, object]]
+                      ) -> Dict[str, object]:
+    """The command a campaign runs: the one the ``--resume`` checkpoint
+    records, or ``fresh()``'s, built from the arguments.
+
+    ``conflict`` is the refusal for a cell-selecting argument (--only,
+    SPEC.json, --fuzz) given alongside --resume, None when there is
+    none.
+    """
     from repro.sweep.checkpoint import CampaignCheckpoint, CheckpointError
+    if not args.resume:
+        return fresh()
+    if conflict:
+        raise SystemExit(conflict)
     if args.checkpoint:
         raise SystemExit("--resume already names the checkpoint file; "
                          "drop --checkpoint")
     try:
-        checkpoint = CampaignCheckpoint.load(args.resume)
+        command = CampaignCheckpoint.load(args.resume).command
     except CheckpointError as exc:
         raise SystemExit(str(exc))
-    if checkpoint.command.get("kind") != kind:
+    recorded = str(command.get("kind"))
+    if recorded != kind:
+        # A "faults-fuzz" campaign resumes under 'repro faults'.
         raise SystemExit(
-            f"checkpoint {args.resume} records a "
-            f"'{checkpoint.command.get('kind')}' campaign; resume it "
-            f"with 'repro {checkpoint.command.get('kind')}'")
-    return checkpoint
+            f"checkpoint {args.resume} records a '{recorded}' campaign; "
+            f"resume it with 'repro {recorded.partition('-')[0]}'")
+    _say(f"resuming the {kind} campaign recorded in {args.resume}")
+    return command
+
+
+def _save_checkpoint(args, command: Dict[str, object]) -> None:
+    """Write ``--checkpoint``'s restart recipe, once: after the
+    scenario list is built, before the first task runs."""
+    from repro.sweep.checkpoint import CampaignCheckpoint
+    if not args.checkpoint:
+        return
+    try:
+        CampaignCheckpoint(args.checkpoint, command).save()
+    except OSError as exc:
+        raise SystemExit(f"--checkpoint: cannot write {args.checkpoint}: "
+                         f"{exc.strerror or exc}")
 
 
 def _hub_for(args):
@@ -608,21 +635,9 @@ def _say(message: str) -> None:
 
 def _run_figures(args) -> int:
     from repro.core.report import format_table
-    from repro.sweep.checkpoint import CampaignCheckpoint
     from repro.sweep.figures import generate_figures, resolve_names
 
-    quick = args.quick
-    checkpoint = None
-    if args.resume:
-        if args.only:
-            raise SystemExit("--resume replays the checkpoint's figure "
-                             "selection; drop --only")
-        checkpoint = _load_resume(args, "figures")
-        names = list(checkpoint.command.get("names") or [])
-        quick = bool(checkpoint.command.get("quick"))
-        _say(f"resuming {len(checkpoint.completed)}/{checkpoint.total} "
-             f"completed tasks from {args.resume}")
-    else:
+    def fresh() -> Dict[str, object]:
         only: Optional[List[str]] = None
         if args.only:
             only = [name for chunk in args.only
@@ -631,16 +646,20 @@ def _run_figures(args) -> int:
             names = resolve_names(only)
         except ValueError as exc:
             raise SystemExit(str(exc))
-        if args.checkpoint:
-            checkpoint = CampaignCheckpoint(
-                args.checkpoint,
-                {"kind": "figures", "names": names, "quick": bool(quick)})
+        return {"kind": "figures", "names": names, "quick": args.quick}
+
+    command = _campaign_command(
+        args, "figures",
+        "--resume replays the checkpoint's figure selection; drop --only"
+        if args.only else None, fresh)
+    names = list(command.get("names") or [])
+    quick = bool(command.get("quick"))
+    _save_checkpoint(args, command)
     hub = _hub_for(args)
     artifacts, stats = generate_figures(
         names, quick=quick, jobs=args.jobs, cache=_cache_for(args),
         out_dir=args.out_dir, progress=_say,
-        supervise=_supervise_for(args), checkpoint=checkpoint,
-        audit=not args.no_audit, hub=hub)
+        supervise=_supervise_for(args), audit=not args.no_audit, hub=hub)
     for name in names:
         artifact = artifacts[name]
         print(format_table(f"{name}: {artifact['title']}",
@@ -703,36 +722,26 @@ def _run_faults(args) -> int:
 
 def _run_fault_fuzz(args) -> int:
     from repro.faults.fuzz import generate_fuzz_scenarios, violation_outcomes
-    from repro.sweep.checkpoint import CampaignCheckpoint
     from repro.sweep.runner import run_sweep
 
-    checkpoint = None
-    if args.resume:
-        if args.fuzz is not None:
-            raise SystemExit("--resume replays the checkpoint's "
-                             "(count, seed); drop --fuzz")
-        checkpoint = _load_resume(args, "faults-fuzz")
-        count = int(checkpoint.command["count"])
-        seed = int(checkpoint.command["seed"])
-        _say(f"resuming {len(checkpoint.completed)}/{checkpoint.total} "
-             f"completed tasks from {args.resume}")
-    else:
-        count, seed = args.fuzz, args.seed
-        if args.checkpoint:
-            checkpoint = CampaignCheckpoint(
-                args.checkpoint,
-                {"kind": "faults-fuzz", "count": count, "seed": seed})
+    command = _campaign_command(
+        args, "faults-fuzz",
+        "--resume replays the checkpoint's (count, seed); drop --fuzz"
+        if args.fuzz is not None else None,
+        lambda: {"kind": "faults-fuzz", "count": args.fuzz,
+                 "seed": args.seed})
+    count, seed = int(command["count"]), int(command["seed"])
     try:
         scenarios = generate_fuzz_scenarios(count, seed)
     except ValueError as exc:
         raise SystemExit(str(exc))
+    _save_checkpoint(args, command)
     _say(f"fuzzing    : {count} faulted scenario(s), seed {seed} "
          "(auditor armed)")
     hub = _hub_for(args)
     outcomes, stats = run_sweep(
         scenarios, jobs=args.jobs, cache=_cache_for(args), progress=_say,
-        supervise=_supervise_for(args), checkpoint=checkpoint,
-        audit=not args.no_audit, hub=hub)
+        supervise=_supervise_for(args), audit=not args.no_audit, hub=hub)
     code = _finish_campaign(stats, hub)
     violations = violation_outcomes(outcomes)
     if violations:
@@ -754,46 +763,35 @@ def _run_fault_fuzz(args) -> int:
 
 def _run_sweep(args) -> int:
     from repro.core.report import format_table
-    from repro.sweep.checkpoint import CampaignCheckpoint
     from repro.sweep.runner import run_sweep
     from repro.sweep.spec import SweepSpec
 
-    checkpoint = None
-    if args.resume:
-        if args.spec is not None:
-            raise SystemExit("--resume replays the checkpoint's spec; "
-                             "drop the SPEC.json argument")
-        checkpoint = _load_resume(args, "sweep")
-        document = checkpoint.command.get("spec")
-        _say(f"resuming {len(checkpoint.completed)}/{checkpoint.total} "
-             f"completed tasks from {args.resume}")
-    elif args.spec is None:
-        raise SystemExit("a sweep needs SPEC.json (or --resume FILE)")
-    else:
+    def fresh() -> Dict[str, object]:
+        if args.spec is None:
+            raise SystemExit("a sweep needs SPEC.json (or --resume FILE)")
         try:
             if args.spec == "-":
-                document = json.load(sys.stdin)
-            else:
-                with open(args.spec) as handle:
-                    document = json.load(handle)
+                return {"kind": "sweep", "spec": json.load(sys.stdin)}
+            with open(args.spec) as handle:
+                return {"kind": "sweep", "spec": json.load(handle)}
         except (OSError, ValueError) as exc:
             raise SystemExit(f"cannot read sweep spec {args.spec}: {exc}")
+
+    command = _campaign_command(
+        args, "sweep",
+        "--resume replays the checkpoint's spec; drop the SPEC.json "
+        "argument" if args.spec is not None else None, fresh)
     try:
-        spec = SweepSpec.from_dict(document)
-        scenarios = spec.expand()
+        scenarios = SweepSpec.from_dict(command.get("spec")).expand()
     except (TypeError, ValueError) as exc:
         raise SystemExit(f"bad sweep spec: {exc}")
-    if checkpoint is None and args.checkpoint:
-        checkpoint = CampaignCheckpoint(args.checkpoint,
-                                        {"kind": "sweep",
-                                         "spec": document})
+    _save_checkpoint(args, command)
     hub = _hub_for(args)
     outcomes, stats = run_sweep(scenarios, jobs=args.jobs,
                                 cache=_cache_for(args),
                                 metrics_dir=args.metrics_dir,
                                 progress=_say,
                                 supervise=_supervise_for(args),
-                                checkpoint=checkpoint,
                                 audit=not args.no_audit,
                                 hub=hub)
     rows = []

@@ -99,9 +99,9 @@ class NetperfStream:
         self.flow_id = flow_id
         self.burst_interval = burst_interval
         self.name = name
-        #: Optional run-scoped allocator, which counts the packets it
-        #: hands out; without one, bursts are built here uncounted.
-        self.pool = pool
+        #: The run-scoped allocator, which counts the packets it hands
+        #: out; a testbed passes its own, a bare stream gets a private one.
+        self.pool = pool if pool is not None else PacketPool()
         self.message_bytes = message_bytes
         self.pps = packets_per_second(throughput_bps, mtu, protocol)
         self.sent = Counter(f"{name}.sent")
@@ -173,15 +173,10 @@ class NetperfStream:
         count = int(quota)
         self._carry = quota - count
         if count > 0:
-            now = self.sim.now
-            pool = self.pool
-            if pool is not None:
-                burst = pool.acquire_burst(count, self.src, self.dst,
-                                           self.mtu, self.vlan,
-                                           self.protocol, self.flow_id, now)
-            else:
-                burst = [Packet(self.src, self.dst, self.mtu, self.vlan,
-                                self.protocol, self.flow_id, now)] * count
+            burst = self.pool.acquire_burst(count, self.src, self.dst,
+                                            self.mtu, self.vlan,
+                                            self.protocol, self.flow_id,
+                                            self.sim.now)
             # Direct increments: every packet is mtu-sized, so the byte
             # count is exactly the sum the per-packet loop produced.
             self.sent.value += count

@@ -89,18 +89,25 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     def _load_existing(self) -> None:
         """Resume support: learn which cells a prior run already
-        settled, so their records are not duplicated."""
+        settled, so their records are not duplicated, and the last
+        ``seq`` it numbered, so numbering continues past it.  A torn
+        final line (a killed writer) is cut off, so the first appended
+        record starts a line of its own."""
         if self.journal_path is None or not self.journal_path.exists():
             return
         try:
-            text = self.journal_path.read_text(encoding="utf-8")
+            data = self.journal_path.read_bytes()
         except OSError:
             return
-        for line in text.splitlines():
+        for line in data.splitlines():
             try:
                 record = json.loads(line)
             except ValueError:
                 continue  # torn tail of a killed writer
+            if not isinstance(record, dict):
+                continue
+            if isinstance(record.get("seq"), int):
+                self._seq = max(self._seq, record["seq"])
             kind = record.get("kind")
             key = record.get("key")
             if not isinstance(key, str):
@@ -109,6 +116,12 @@ class TelemetryHub:
                     kind == "task_terminal"
                     and record.get("status") in ("ok", "retried")):
                 self._settled.add(key)
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            try:
+                os.truncate(self.journal_path, end)
+            except OSError:
+                self.journal_errors += 1
 
     def _open_journal(self) -> None:
         if self.journal_path is None:
@@ -141,18 +154,12 @@ class TelemetryHub:
     # ------------------------------------------------------------------
     # runner-facing events
     # ------------------------------------------------------------------
-    def campaign_start(self, total: int, workers: int = 1,
-                       command: Optional[Dict[str, Any]] = None,
-                       resumed: bool = False) -> None:
+    def campaign_start(self, total: int, workers: int = 1) -> None:
         self.total = total
         self.workers = max(1, workers)
-        record: Dict[str, Any] = {"schema": JOURNAL_SCHEMA,
-                                  "kind": "campaign_start", "total": total,
-                                  "workers": self.workers,
-                                  "resumed": bool(resumed or self._settled)}
-        if command:
-            record["command"] = command
-        self._append(record)
+        self._append({"schema": JOURNAL_SCHEMA, "kind": "campaign_start",
+                      "total": total, "workers": self.workers,
+                      "resumed": bool(self._settled)})
         self._render()
 
     def cache_hit(self, key: str) -> None:

@@ -200,8 +200,6 @@ class FluidFlow:
             return self._reject(tx_gate)
         if stream.jitter != 0:
             return self._reject("jitter")
-        if stream.pool is None:
-            return self._reject("pool")
         # The bulk replay loop assumes every tick carries packets.
         if stream.pps * stream.burst_interval < 1.0:
             return self._reject("sparse_ticks")

@@ -14,14 +14,13 @@ content-addressed result cache.
   timeouts, bounded crash retries, and worker-pool respawn under the
   engine.
 * :mod:`repro.sweep.checkpoint` — :class:`CampaignCheckpoint`: the
-  atomic progress record behind ``repro sweep --resume``.
+  atomic restart recipe behind ``repro sweep --resume``.
 * :mod:`repro.sweep.figures` — every paper figure (Figs. 6-21) as a
   registered campaign; backs both ``repro figures`` and the
   pytest-benchmark suite.
 """
 
 from repro.sweep.cache import (
-    DEFAULT_CACHE_DIR,
     ResultCache,
     canonical_json,
     costs_to_dict,
@@ -40,20 +39,18 @@ from repro.sweep.checkpoint import (CHECKPOINT_SCHEMA, CampaignCheckpoint,
 from repro.sweep.jobs import Job, build_jobs, execute_payload
 from repro.sweep.runner import Outcome, SweepStats, run_sweep
 from repro.sweep.spec import SweepSpec
-from repro.sweep.supervise import (SuperviseConfig, SuperviseStats,
-                                   TaskOutcome, run_supervised)
+from repro.sweep.supervise import (SuperviseConfig, TaskOutcome,
+                                   run_supervised)
 
 __all__ = [
     "CHECKPOINT_SCHEMA",
     "CampaignCheckpoint",
     "CheckpointError",
-    "DEFAULT_CACHE_DIR",
     "FIGURES",
     "Job",
     "Outcome",
     "ResultCache",
     "SuperviseConfig",
-    "SuperviseStats",
     "SweepSpec",
     "SweepStats",
     "TaskOutcome",

@@ -61,12 +61,6 @@ def default_cache_dir() -> str:
     return os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
 
 
-#: Import-time snapshot of :func:`default_cache_dir`, kept for
-#: backwards compatibility.  Prefer the function: this constant does
-#: not see ``REPRO_CACHE_DIR`` changes made after import.
-DEFAULT_CACHE_DIR = default_cache_dir()
-
-
 def canonical_json(obj: object) -> str:
     """The one JSON encoding used for hashing and artifacts.
 

@@ -1,18 +1,17 @@
-"""Campaign checkpoints: atomic, schema-versioned, resumable.
+"""Campaign checkpoints: atomic, schema-versioned restart recipes.
 
 A checkpoint is a small JSON document recording what one campaign was
-asked to do (``command`` — enough to reconstruct the scenario list)
-and which task keys have completed or terminally failed.  The runner
-updates it after *every* task, with the cache entry already written,
-so a SIGTERM/SIGKILL at any instant loses at most the task that was in
-flight: ``repro sweep --resume <checkpoint>`` (or ``repro figures
---resume``) replays the same campaign, and every completed cell comes
-straight out of the content-addressed cache — zero recomputation,
-byte-identical artifacts (the cache, not the checkpoint, holds the
-results; the checkpoint is the restart recipe plus progress record).
+asked to do (``command`` — enough to reconstruct the scenario list).
+The CLI writes it once, after the scenario list is built and before
+the first task runs, so a campaign killed at any instant can be
+resumed: ``repro sweep --resume <checkpoint>`` (or ``repro figures
+--resume``) replays the same campaign, and every cell that finished
+before the kill comes straight out of the content-addressed cache —
+zero recomputation, byte-identical artifacts.  The cache, not the
+checkpoint, records which cells are done.
 
 Writes are atomic (per-writer tmp name + rename) like cache entries,
-so a kill mid-update leaves the previous consistent checkpoint.
+so a kill mid-write leaves no torn checkpoint.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, Mapping
 
 CHECKPOINT_SCHEMA = "repro-checkpoint/1"
 
@@ -31,48 +30,14 @@ class CheckpointError(ValueError):
 
 
 class CampaignCheckpoint:
-    """Progress record of one campaign, persisted after every task."""
+    """The restart recipe of one campaign."""
 
-    def __init__(self, path: os.PathLike, command: Mapping[str, object],
-                 total: int = 0):
+    def __init__(self, path: os.PathLike, command: Mapping[str, object]):
         self.path = Path(path)
-        #: How to re-run this campaign: ``{"kind": "sweep"|"figures",
-        #: ...}`` with the spec document / figure names inline.
+        #: How to re-run this campaign: ``{"kind": "sweep"|"figures"|
+        #: "faults-fuzz", ...}`` with the spec document / figure names /
+        #: fuzz count and seed inline.
         self.command: Dict[str, object] = dict(command)
-        self.total = total
-        #: Distinct task keys whose results are durably in the cache
-        #: (includes cache hits — a resume counts them as done too).
-        self.completed: List[str] = []
-        self._completed_set = set()
-        #: Terminally failed task keys -> their TaskOutcome dict.
-        self.failed: Dict[str, Dict[str, object]] = {}
-
-    # ------------------------------------------------------------------
-    # progress
-    # ------------------------------------------------------------------
-    def mark_completed(self, key: str) -> None:
-        if key not in self._completed_set:
-            self._completed_set.add(key)
-            self.completed.append(key)
-            self.failed.pop(key, None)
-        self.save()
-
-    def mark_failed(self, key: str, outcome: Mapping[str, object]) -> None:
-        if key not in self._completed_set:
-            self.failed[key] = dict(outcome)
-        self.save()
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "schema": CHECKPOINT_SCHEMA,
-            "command": self.command,
-            "total": self.total,
-            "completed": list(self.completed),
-            "failed": dict(self.failed),
-        }
 
     def save(self) -> None:
         """Atomic write: tmp (pid+tid suffix) + rename."""
@@ -81,7 +46,9 @@ class CampaignCheckpoint:
             f"{self.path.name}.tmp.{os.getpid()}.{threading.get_ident()}")
         try:
             with open(tmp, "w") as handle:
-                json.dump(self.to_dict(), handle, sort_keys=True, indent=1)
+                json.dump({"schema": CHECKPOINT_SCHEMA,
+                           "command": self.command},
+                          handle, sort_keys=True, indent=1)
                 handle.write("\n")
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -95,6 +62,9 @@ class CampaignCheckpoint:
 
     @classmethod
     def load(cls, path: os.PathLike) -> "CampaignCheckpoint":
+        """Read a checkpoint back.  Fields other than ``schema`` and
+        ``command`` (older checkpoints also carry ``total``,
+        ``completed`` and ``failed``) are ignored."""
         path = Path(path)
         try:
             with open(path) as handle:
@@ -114,19 +84,4 @@ class CampaignCheckpoint:
         if not isinstance(command, dict) or "kind" not in command:
             raise CheckpointError(f"checkpoint {path} carries no "
                                   "command record")
-        checkpoint = cls(path, command, total=int(document.get("total", 0)))
-        for key in document.get("completed") or []:
-            if key not in checkpoint._completed_set:
-                checkpoint._completed_set.add(key)
-                checkpoint.completed.append(key)
-        failed = document.get("failed")
-        if isinstance(failed, dict):
-            checkpoint.failed = {key: dict(value)
-                                 for key, value in failed.items()
-                                 if isinstance(value, dict)}
-        return checkpoint
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<CampaignCheckpoint {self.path} "
-                f"{len(self.completed)}/{self.total} done, "
-                f"{len(self.failed)} failed>")
+        return cls(path, command)

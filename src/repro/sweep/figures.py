@@ -534,7 +534,6 @@ def generate_figures(
     out_dir: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     supervise=None,
-    checkpoint=None,
     audit: bool = True,
     hub=None,
 ) -> tuple[Dict[str, Dict[str, object]], SweepStats]:
@@ -559,8 +558,7 @@ def generate_figures(
                             for _, scenario in labeled]
     outcomes, stats = run_sweep(flat, costs=costs, jobs=jobs, cache=cache,
                                 progress=progress, supervise=supervise,
-                                checkpoint=checkpoint, audit=audit,
-                                hub=hub)
+                                audit=audit, hub=hub)
     artifacts: Dict[str, Dict[str, object]] = {}
     cursor = 0
     for name, labeled in batches:

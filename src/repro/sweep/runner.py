@@ -10,10 +10,9 @@ misses out over a supervised ``ProcessPoolExecutor`` when ``jobs > 1``
 timeout, and a broken pool is respawned (see
 :mod:`repro.sweep.supervise`).
 
-Crash safety: each result is written to the cache (and the optional
-campaign checkpoint updated) *as it completes*, not at the end — a
-campaign killed at any instant keeps every finished cell, and
-``repro sweep --resume`` recomputes none of them.
+Crash safety: each result is written to the cache *as it completes*,
+not at the end — a campaign killed at any instant keeps every finished
+cell, and ``repro sweep --resume`` recomputes none of them.
 
 Determinism contract: the returned results — and therefore any JSON
 artifact derived from them — are byte-identical across ``jobs=1`` and
@@ -36,9 +35,10 @@ from repro.api import Scenario
 from repro.core.costs import CostModel
 from repro.core.experiment import RunResult
 from repro.sweep.cache import ResultCache, costs_to_dict
-from repro.sweep.checkpoint import CampaignCheckpoint
 from repro.sweep.jobs import Job, build_jobs, execute_payload
-from repro.sweep.supervise import (SuperviseConfig, TaskOutcome,
+from repro.sweep.supervise import (STATUS_FAILED, STATUS_OK,
+                                   STATUS_RETRIED, STATUS_TIMED_OUT,
+                                   SuperviseConfig, TaskOutcome,
                                    run_supervised)
 
 
@@ -121,7 +121,6 @@ def run_sweep(
     metrics_dir: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     supervise: Optional[SuperviseConfig] = None,
-    checkpoint: Optional[CampaignCheckpoint] = None,
     audit: bool = True,
     hub=None,
 ) -> tuple[List[Outcome], SweepStats]:
@@ -130,15 +129,13 @@ def run_sweep(
     ``metrics_dir`` turns on telemetry inside each *executed* job and
     writes one ``<key>.metrics.json`` per job there (cache hits skip
     simulation, hence produce no new metrics file).  ``supervise``
-    overrides the default watchdog/retry policy; ``checkpoint`` is
-    updated after every task so an interrupted campaign resumes with
-    zero recomputation; ``audit=False`` disables the runtime invariant
-    auditor inside the executed jobs.  ``hub`` attaches a
-    :class:`~repro.obs.campaign.hub.TelemetryHub`: executed jobs
-    stream worker telemetry into its spool, and cache/supervision
-    events flow into its journal and dashboard.  The hub is
-    observation-only — results, cache entries, checkpoints and every
-    derived artifact are byte-identical with it on or off.
+    overrides the default watchdog/retry policy; ``audit=False``
+    disables the runtime invariant auditor inside the executed jobs.
+    ``hub`` attaches a :class:`~repro.obs.campaign.hub.TelemetryHub`:
+    executed jobs stream worker telemetry into its spool, and
+    cache/supervision events flow into its journal and dashboard.  The
+    hub is observation-only — results, cache entries and every derived
+    artifact are byte-identical with it on or off.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
@@ -147,8 +144,6 @@ def run_sweep(
     costs_dict = costs_to_dict(costs)
     job_list = build_jobs(scenarios, costs)
     stats = SweepStats(total=len(job_list))
-    if checkpoint is not None:
-        checkpoint.total = len({job.key for job in job_list})
     if hub is not None:
         hub.campaign_start(total=len({job.key for job in job_list}),
                            workers=jobs)
@@ -156,7 +151,6 @@ def run_sweep(
     cached: Dict[int, bool] = {}
 
     misses: List[Job] = []
-    hit_keys = set()
     for job in job_list:
         corrupt_before = cache.corruption if cache is not None else 0
         entry = cache.get(job.key) if cache is not None else None
@@ -168,7 +162,6 @@ def run_sweep(
                 results[job.index] = RunResult.from_dict(entry)
                 cached[job.index] = True
                 stats.hits += 1
-                hit_keys.add(job.key)
                 if hub is not None:
                     hub.cache_hit(job.key)
                 continue
@@ -176,9 +169,6 @@ def run_sweep(
                 pass  # unreadable entry: fall through to re-simulate
         misses.append(job)
     stats.misses = len(misses)
-    if checkpoint is not None:
-        for key in hit_keys:
-            checkpoint.mark_completed(key)
 
     # Collapse duplicate configurations: one simulation per distinct
     # key, its result shared by every job that asked for it.
@@ -213,25 +203,20 @@ def run_sweep(
             if cache is not None:
                 cache.put(key, job.scenario.to_dict(), costs_dict,
                           result_dict)
-            if checkpoint is not None:
-                checkpoint.mark_completed(key)
             say(f"  done {job.scenario.mode}#{job.index} [{key[:12]}]")
         else:
-            if checkpoint is not None:
-                checkpoint.mark_failed(key, task.to_dict())
             say(f"  FAILED {job.scenario.mode}#{job.index} [{key[:12]}]: "
                 f"{task.error}")
 
-    fresh, task_outcomes, task_stats = run_supervised(
-        execute_payload, tasks, jobs=jobs, config=supervise,
-        on_result=on_result, say=say, hub=hub)
-
-    stats.ok = task_stats.ok
-    stats.retried = task_stats.retried
-    stats.timed_out = task_stats.timed_out
-    stats.failed = task_stats.failed
-    stats.respawns = task_stats.respawns
-    stats.peak_workers = task_stats.peak_workers
+    fresh, task_outcomes, stats.respawns, stats.peak_workers = \
+        run_supervised(execute_payload, tasks, jobs=jobs,
+                       config=supervise, on_result=on_result, say=say,
+                       hub=hub)
+    statuses = [task.status for task in task_outcomes.values()]
+    stats.ok = statuses.count(STATUS_OK)
+    stats.retried = statuses.count(STATUS_RETRIED)
+    stats.timed_out = statuses.count(STATUS_TIMED_OUT)
+    stats.failed = statuses.count(STATUS_FAILED)
     stats.wall_s = time.monotonic() - started_wall
     if cache is not None:
         stats.corrupt = cache.corruption

@@ -61,8 +61,6 @@ class TaskOutcome:
     attempts: int = 0
     #: Terminal error text for timed_out/failed outcomes.
     error: Optional[str] = None
-    #: Worker-pool respawns this task's crashes caused.
-    respawns: int = 0
 
     @property
     def ok(self) -> bool:
@@ -104,53 +102,6 @@ class SuperviseConfig:
         return delay * jitter
 
 
-@dataclass
-class SuperviseStats:
-    """Aggregate counts across one supervised batch."""
-
-    ok: int = 0
-    retried: int = 0
-    timed_out: int = 0
-    failed: int = 0
-    respawns: int = 0
-    #: Total campaign wall-clock across the batch, in host seconds.
-    wall_s: float = 0.0
-    #: Most tasks observed in flight at once (1 for in-process runs).
-    peak_workers: int = 0
-
-    @property
-    def failures(self) -> int:
-        return self.timed_out + self.failed
-
-    def summary(self) -> str:
-        """One line, machine-parseable (the CLI prints it; CI greps).
-
-        New fields append after ``respawns=`` — existing consumers
-        match prefixes of this line, so the order is load-bearing.
-        """
-        return (f"task summary: ok={self.ok} retried={self.retried} "
-                f"timed_out={self.timed_out} failed={self.failed} "
-                f"respawns={self.respawns} wall_s={self.wall_s:.2f} "
-                f"peak_workers={self.peak_workers}")
-
-    @classmethod
-    def of(cls, outcomes: Sequence[TaskOutcome],
-           respawns: int = 0, wall_s: float = 0.0,
-           peak_workers: int = 0) -> "SuperviseStats":
-        stats = cls(respawns=respawns, wall_s=wall_s,
-                    peak_workers=peak_workers)
-        for outcome in outcomes:
-            if outcome.status == STATUS_OK:
-                stats.ok += 1
-            elif outcome.status == STATUS_RETRIED:
-                stats.retried += 1
-            elif outcome.status == STATUS_TIMED_OUT:
-                stats.timed_out += 1
-            elif outcome.status == STATUS_FAILED:
-                stats.failed += 1
-        return stats
-
-
 def run_supervised(
     fn: Callable[[dict], dict],
     tasks: Sequence[Tuple[str, dict]],
@@ -161,17 +112,16 @@ def run_supervised(
                                  None]] = None,
     say: Optional[Callable[[str], None]] = None,
     hub=None,
-) -> Tuple[Dict[str, dict], Dict[str, TaskOutcome], SuperviseStats]:
+) -> Tuple[Dict[str, dict], Dict[str, TaskOutcome], int, int]:
     """Run ``fn(payload)`` for every (key, payload) task, supervised.
 
-    Returns ``(results, outcomes, stats)``: results keyed by task key
-    (absent for tasks that ultimately failed), a TaskOutcome per task,
-    and the batch :class:`SuperviseStats` (outcome counts, pool
-    respawns, total wall time, peak concurrent workers).  ``on_result``
-    fires once per task as it reaches a terminal state — the runner
-    uses it to write the cache entry and the campaign checkpoint
-    immediately, so a kill mid-campaign preserves every completed
-    cell.  ``hub`` is an optional
+    Returns ``(results, outcomes, respawns, peak_workers)``: results
+    keyed by task key (absent for tasks that ultimately failed), a
+    TaskOutcome per task, how many times the worker pool was respawned
+    and the most tasks observed in flight at once.  ``on_result`` fires
+    once per task as it reaches a terminal state — the runner uses it
+    to write the cache entry immediately, so a kill mid-campaign
+    preserves every completed cell.  ``hub`` is an optional
     :class:`~repro.obs.campaign.hub.TelemetryHub`: it is told about
     submissions and terminal outcomes and polled from the supervision
     loop so worker spool records stream in live.  Supervision is
@@ -180,7 +130,6 @@ def run_supervised(
     """
     cfg = config or SuperviseConfig()
     tell = say or (lambda message: None)
-    started = time.monotonic()
     results: Dict[str, dict] = {}
     outcomes = {key: TaskOutcome(key=key) for key, _ in tasks}
 
@@ -208,17 +157,14 @@ def run_supervised(
                        f"{type(exc).__name__}: {exc}")
             else:
                 finish(key, STATUS_OK)
-        return results, outcomes, SuperviseStats.of(
-            list(outcomes.values()), wall_s=time.monotonic() - started,
-            peak_workers=1 if tasks else 0)
+        return results, outcomes, 0, 1 if tasks else 0
 
     return _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs,
-                     tell, hub, started)
+                     tell, hub)
 
 
 def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
-              hub=None, started: Optional[float] = None):
-    started = time.monotonic() if started is None else started
+              hub=None):
     pending: List[Tuple[str, dict]] = list(tasks)
     # Backoff queue: (ready_time, tiebreak, key, payload).
     backoff: List[Tuple[float, int, str, dict]] = []
@@ -293,7 +239,6 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
                     results[key] = future.result()
                 except BrokenProcessPool:
                     broken = True
-                    outcomes[key].respawns += 1
                     transient_failure(key, "BrokenProcessPool")
                 except Exception as exc:  # noqa: BLE001 - outcome surface
                     # Deterministic payload failure: never retried.
@@ -333,9 +278,7 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
     finally:
         _shutdown_pool(executor)
         restore_sigterm()
-    return results, outcomes, SuperviseStats.of(
-        list(outcomes.values()), respawns,
-        wall_s=time.monotonic() - started, peak_workers=peak_workers)
+    return results, outcomes, respawns, peak_workers
 
 
 def _shutdown_on_sigterm(

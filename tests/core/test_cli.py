@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, parse_fault_spec, parse_policy, run_cli
@@ -227,3 +229,170 @@ def test_report_on_native_host_has_no_domain_rows():
     report = XentopReport(host)
     assert report.rows == []
     assert "TOTAL" in report.render()
+
+
+SPEC = {"base": {"mode": "sriov", "vm_count": 1, "warmup": 0.05,
+                 "duration": 0.05},
+        "grid": {"vm_count": [1, 2]}}
+
+
+def _summary(out, prefix):
+    """The ``key=value`` fields of the stdout line starting ``prefix``."""
+    [line] = [line for line in out.splitlines() if line.startswith(prefix)]
+    return dict(field.split("=") for field in line[len(prefix):].split())
+
+
+def _cache(tmp_path):
+    return ["--cache-dir", str(tmp_path / "cache")]
+
+
+class TestCampaignCheckpoints:
+    """--checkpoint/--resume for all three campaign commands: the
+    checkpoint is the restart recipe, written once before the first
+    task, and the cache is the record of which cells finished."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(SPEC))
+        return path
+
+    def _fresh(self, kind, spec, tmp_path):
+        return {"sweep": ["sweep", str(spec)],
+                "figures": ["figures", "--only", "fig06", "--quick",
+                            "--out-dir", str(tmp_path / "figs")],
+                "faults-fuzz": ["faults", "--fuzz", "2"]}[kind] \
+            + _cache(tmp_path)
+
+    @pytest.mark.parametrize("kind", ["sweep", "figures", "faults-fuzz"])
+    def test_resume_round_trip_executes_nothing(self, kind, spec, tmp_path,
+                                                capsys):
+        ck = tmp_path / "ck.json"
+        fresh = self._fresh(kind, spec, tmp_path)
+        assert run_cli(fresh + ["--checkpoint", str(ck)]) == 0
+        first = _summary(capsys.readouterr().out, "cache summary:")
+        assert int(first["executed"]) > 0
+        document = json.loads(ck.read_text())
+        assert sorted(document) == ["command", "schema"]
+        assert document["command"]["kind"] == kind
+
+        resume = [fresh[0], "--resume", str(ck)] + _cache(tmp_path)
+        if kind == "figures":
+            resume += ["--out-dir", str(tmp_path / "figs")]
+        assert run_cli(resume) == 0
+        captured = capsys.readouterr()
+        assert (f"resuming the {kind} campaign recorded in {ck}"
+                in captured.err)
+        again = _summary(captured.out, "cache summary:")
+        assert again["hits"] == again["total"] == first["total"]
+        assert again["executed"] == "0"
+        assert json.loads(ck.read_text()) == document  # written once
+
+    def test_checkpoint_is_written_before_the_first_task(
+            self, spec, tmp_path, monkeypatch):
+        from repro.sweep import jobs as jobs_module
+        ck = tmp_path / "ck.json"
+        seen = []
+
+        def execute(payload):
+            seen.append(ck.exists())
+            return jobs_module.execute_payload(payload)
+
+        monkeypatch.setattr("repro.sweep.runner.execute_payload", execute)
+        assert run_cli(self._fresh("sweep", spec, tmp_path)
+                       + ["--checkpoint", str(ck)]) == 0
+        assert seen == [True, True]
+
+    def test_an_older_progress_checkpoint_still_resumes(
+            self, spec, tmp_path, capsys):
+        # Checkpoints used to carry progress lists as well; they are
+        # ignored now, and the cache supplies the finished cells.
+        from repro.sweep.checkpoint import CHECKPOINT_SCHEMA
+        assert run_cli(self._fresh("sweep", spec, tmp_path)) == 0
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({
+            "schema": CHECKPOINT_SCHEMA,
+            "command": {"kind": "sweep", "spec": SPEC}, "total": 2,
+            "completed": ["k1"],
+            "failed": {"k2": {"key": "k2", "status": "failed",
+                              "attempts": 3, "error": "boom"}}}))
+        capsys.readouterr()
+        assert run_cli(["sweep", "--resume", str(old)]
+                       + _cache(tmp_path)) == 0
+        summary = _summary(capsys.readouterr().out, "cache summary:")
+        assert (summary["hits"], summary["executed"]) == ("2", "0")
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["sweep", "--resume", "{sweep}", "--checkpoint", "{new}"],
+         "--resume already names the checkpoint file; drop --checkpoint"),
+        (["figures", "--resume", "{figures}", "--checkpoint", "{new}"],
+         "--resume already names the checkpoint file; drop --checkpoint"),
+        (["faults", "--resume", "{faults-fuzz}", "--checkpoint", "{new}"],
+         "--resume already names the checkpoint file; drop --checkpoint"),
+        (["sweep", "{spec}", "--resume", "{sweep}"],
+         "--resume replays the checkpoint's spec; drop the SPEC.json "
+         "argument"),
+        (["figures", "--only", "fig06", "--resume", "{figures}"],
+         "--resume replays the checkpoint's figure selection; drop --only"),
+        (["faults", "--fuzz", "2", "--resume", "{faults-fuzz}"],
+         "--resume replays the checkpoint's (count, seed); drop --fuzz"),
+        (["sweep", "--resume", "{figures}"],
+         "records a 'figures' campaign; resume it with 'repro figures'"),
+        (["figures", "--resume", "{faults-fuzz}"],
+         "records a 'faults-fuzz' campaign; resume it with 'repro faults'"),
+        (["faults", "--resume", "{sweep}"],
+         "records a 'sweep' campaign; resume it with 'repro sweep'"),
+        (["sweep", "--resume", "{absent}"], "cannot read checkpoint"),
+    ])
+    def test_refusals_exit_before_any_task(self, argv, refusal, spec,
+                                           tmp_path, monkeypatch):
+        from repro.sweep.checkpoint import CampaignCheckpoint
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("a refused campaign ran")
+
+        monkeypatch.setattr("repro.sweep.runner.run_sweep", no_campaign)
+        monkeypatch.setattr("repro.sweep.figures.run_sweep", no_campaign)
+        paths = {"spec": str(spec), "new": str(tmp_path / "new.json"),
+                 "absent": str(tmp_path / "absent.json")}
+        for kind, command in [
+                ("sweep", {"spec": SPEC}),
+                ("figures", {"names": ["fig06"], "quick": True}),
+                ("faults-fuzz", {"count": 2, "seed": 42})]:
+            paths[kind] = str(tmp_path / f"{kind}.json")
+            CampaignCheckpoint(paths[kind], {"kind": kind,
+                                             **command}).save()
+        with pytest.raises(SystemExit) as exc:
+            run_cli([arg.format(**paths) for arg in argv]
+                    + _cache(tmp_path))
+        assert refusal in str(exc.value)
+        assert not (tmp_path / "new.json").exists()
+        assert not (tmp_path / "cache").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "{bad}"],
+        ["sweep", "{absent}"],
+        ["figures", "--only", "fig99"],
+        ["faults", "--fuzz", "0"],
+    ])
+    def test_a_rejected_campaign_writes_no_checkpoint(self, argv, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"base": {"mode": "sriov",
+                                            "vm_cuont": 2}}))
+        paths = {"bad": str(bad), "absent": str(tmp_path / "absent.json")}
+        ck = tmp_path / "ck.json"
+        with pytest.raises(SystemExit):
+            run_cli([arg.format(**paths) for arg in argv]
+                    + ["--checkpoint", str(ck)])
+        assert not ck.exists()
+
+    def test_unwritable_checkpoint_exits_naming_the_path(self, spec,
+                                                         tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        ck = blocker / "ck.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self._fresh("sweep", spec, tmp_path)
+                    + ["--checkpoint", str(ck)])
+        assert str(exc.value).startswith(f"--checkpoint: cannot write {ck}")
+        assert not (tmp_path / "cache").exists()

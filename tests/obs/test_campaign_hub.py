@@ -156,6 +156,55 @@ class TestResume:
         resumed = TelemetryHub(journal)
         assert resumed._settled == {"a"}
 
+    def test_foreign_json_lines_are_skipped_on_load(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        journal.write_text('5\n["a"]\n{"kind": "cache_hit", "key": "a", '
+                           '"seq": 7}\n')
+        hub = TelemetryHub(journal)
+        assert hub._settled == {"a"} and hub._seq == 7
+
+    def test_resume_cuts_a_torn_tail_and_continues_seq(self, tmp_path):
+        journal = tmp_path / "campaign.jsonl"
+        first = TelemetryHub(journal)
+        first.campaign_start(total=2)
+        first.task_running("a", 1)
+        first.task_terminal(TaskOutcome(key="a", status="ok", attempts=1))
+        first.finalize()
+        with open(journal, "a") as handle:
+            handle.write('{"kind": "task_runn')  # SIGKILL mid-write
+
+        second = TelemetryHub(journal)
+        second.campaign_start(total=2)
+        second.cache_hit("a")       # settled: no new record
+        second.task_running("b", 1)
+        second.task_terminal(TaskOutcome(key="b", status="ok", attempts=1))
+        second.finalize()
+
+        records = load_journal(journal, strict=True)
+        assert [r["kind"] for r in records].count("campaign_start") == 2
+        assert [r["seq"] for r in records] == list(range(1, 9))
+        assert second.journal_errors == 0
+
+    def test_failed_cut_is_a_journal_error_not_a_lost_resume(
+            self, tmp_path, monkeypatch):
+        from repro.obs.campaign import hub as hub_module
+        journal = tmp_path / "campaign.jsonl"
+        first = TelemetryHub(journal)
+        first.campaign_start(total=1)
+        first.task_terminal(TaskOutcome(key="a", status="ok", attempts=1))
+        first.finalize()
+        with open(journal, "a") as handle:
+            handle.write('{"kind": "task_term')
+
+        def no_truncate(path, length):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(hub_module.os, "truncate", no_truncate)
+        resumed = TelemetryHub(journal)
+        assert resumed.journal_errors == 1
+        assert resumed._settled == {"a"}
+        assert resumed._seq == 3
+
 
 class TestSpoolIngestion:
     def test_poll_ingests_and_journals_worker_records(self, tmp_path):

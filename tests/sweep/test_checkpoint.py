@@ -1,4 +1,4 @@
-"""Checkpoint/resume: atomic progress records and zero recomputation.
+"""Checkpoint/resume: atomic restart recipes and zero recomputation.
 
 The integration test at the bottom does the full robustness loop the
 CI chaos-harness also exercises: start a figure campaign in a
@@ -26,34 +26,14 @@ from repro.sweep.checkpoint import (CHECKPOINT_SCHEMA, CampaignCheckpoint,
 class TestCampaignCheckpoint:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "ck.json"
-        checkpoint = CampaignCheckpoint(path, {"kind": "sweep",
-                                               "spec": {"base": {}}},
-                                        total=3)
-        checkpoint.mark_completed("aaa")
-        checkpoint.mark_failed("bbb", {"key": "bbb", "status": "failed",
-                                       "attempts": 3, "error": "boom"})
+        CampaignCheckpoint(path, {"kind": "sweep",
+                                  "spec": {"base": {}}}).save()
+        assert json.loads(path.read_text()) == {
+            "schema": CHECKPOINT_SCHEMA,
+            "command": {"kind": "sweep", "spec": {"base": {}}}}
         loaded = CampaignCheckpoint.load(path)
+        assert loaded.path == path
         assert loaded.command == {"kind": "sweep", "spec": {"base": {}}}
-        assert loaded.total == 3
-        assert loaded.completed == ["aaa"]
-        assert loaded.failed["bbb"]["error"] == "boom"
-
-    def test_mark_completed_is_idempotent_and_clears_failed(self,
-                                                            tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path / "ck.json",
-                                        {"kind": "sweep"})
-        checkpoint.mark_failed("k", {"status": "failed"})
-        checkpoint.mark_completed("k")  # a later retry succeeded
-        checkpoint.mark_completed("k")
-        assert checkpoint.completed == ["k"]
-        assert checkpoint.failed == {}
-
-    def test_completed_key_cannot_regress_to_failed(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path / "ck.json",
-                                        {"kind": "sweep"})
-        checkpoint.mark_completed("k")
-        checkpoint.mark_failed("k", {"status": "failed"})
-        assert checkpoint.failed == {}
 
     def test_schema_is_versioned(self, tmp_path):
         path = tmp_path / "ck.json"
@@ -82,11 +62,11 @@ class TestCampaignCheckpoint:
             CampaignCheckpoint.load(path)
 
     def test_save_leaves_no_tmp_debris(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path / "ck.json",
-                                        {"kind": "sweep"})
         for index in range(5):
-            checkpoint.mark_completed(f"key{index}")
+            CampaignCheckpoint(tmp_path / "ck.json",
+                               {"kind": "sweep", "index": index}).save()
         assert list(tmp_path.glob("*.tmp.*")) == []
+        assert [path.name for path in tmp_path.iterdir()] == ["ck.json"]
 
 
 class TestRunnerIntegration:
@@ -95,34 +75,19 @@ class TestRunnerIntegration:
                         duration=0.05)
         return [base.with_(seed=40 + index) for index in range(count)]
 
-    def test_checkpoint_tracks_a_campaign(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        checkpoint = CampaignCheckpoint(tmp_path / "ck.json",
-                                        {"kind": "sweep"})
-        outcomes, stats = run_sweep(self._scenarios(), cache=cache,
-                                    checkpoint=checkpoint)
-        assert checkpoint.total == 3
-        assert sorted(checkpoint.completed) == sorted(
-            outcome.key for outcome in outcomes)
-        assert checkpoint.failed == {}
-
     def test_interrupted_campaign_resumes_with_zero_recomputation(
             self, tmp_path):
         # "Interrupt" by running a prefix of the campaign, as a kill
-        # after two completions would leave things: cache + checkpoint
-        # agree on what's done.
+        # after two completions would leave things: the cache holds
+        # exactly the finished cells.
         cache_dir = tmp_path / "cache"
         scenarios = self._scenarios()
-        checkpoint = CampaignCheckpoint(tmp_path / "ck.json",
-                                        {"kind": "sweep"})
-        run_sweep(scenarios[:2], cache=ResultCache(cache_dir),
-                  checkpoint=checkpoint)
-        resumed = CampaignCheckpoint.load(tmp_path / "ck.json")
+        run_sweep(scenarios[:2], cache=ResultCache(cache_dir))
         outcomes, stats = run_sweep(scenarios,
-                                    cache=ResultCache(cache_dir),
-                                    checkpoint=resumed)
+                                    cache=ResultCache(cache_dir))
         assert stats.hits == 2 and stats.executed == 1
-        assert len(resumed.completed) == 3
+        assert [outcome.cached for outcome in outcomes] == [True, True,
+                                                            False]
         # Byte-identity: the resumed campaign's results match a fresh
         # uninterrupted run in a clean cache.
         fresh, _ = run_sweep(scenarios,
@@ -191,15 +156,12 @@ def test_sigterm_then_resume_is_byte_identical(tmp_path):
         cwd=REPO, env=_env(), stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL)
     # SIGTERM once the campaign is mid-flight: some tasks done, not all.
+    # The cache is the record of finished cells: poll for its first
+    # entry.
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline and process.poll() is None:
-        if ck.exists():
-            try:
-                done = len(json.loads(ck.read_text())["completed"])
-            except (ValueError, KeyError):
-                done = 0
-            if done >= 1:
-                break
+        if list(cache_a.glob("??/*.json")):
+            break
         time.sleep(0.05)
     workers = []
     if process.poll() is None:
@@ -215,7 +177,9 @@ def test_sigterm_then_resume_is_byte_identical(tmp_path):
         os.kill(pid, signal.SIGKILL)
     assert not survivors, f"pool workers outlived SIGTERM: {survivors}"
 
-    completed_before = len(json.loads(ck.read_text())["completed"])
+    assert ck.exists()
+    completed_before = len(list(cache_a.glob("??/*.json")))
+    assert completed_before >= 1
     resume = subprocess.run(
         _figures_cmd(out_a, cache_a, ["--resume", str(ck)], select=False),
         cwd=REPO, env=_env(), capture_output=True, text=True, timeout=300)

@@ -10,7 +10,8 @@ import json
 import pytest
 
 from repro.api import Scenario
-from repro.sweep import ResultCache, run_sweep
+from repro.sweep import ResultCache, SweepStats, run_sweep
+from repro.sweep import jobs as jobs_module
 from repro.sweep.figures import generate_figures
 
 QUICK = dict(warmup=0.2, duration=0.1)
@@ -87,6 +88,44 @@ class TestCacheSemantics:
     def test_jobs_zero_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(_scenarios(), jobs=0)
+
+
+class TestSummaryLines:
+    """Every campaign ends with these two lines, and CI greps both, so
+    their fields and order are pinned byte for byte."""
+
+    STATS = SweepStats(total=5, hits=1, misses=4, executed=4, ok=1,
+                       retried=1, timed_out=1, failed=1, respawns=4,
+                       corrupt=1, wall_s=12.345, peak_workers=2)
+
+    def test_cache_summary_line_format(self):
+        assert self.STATS.summary() == (
+            "cache summary: hits=1 misses=4 executed=4 total=5 "
+            "hit_rate=20.0%")
+
+    def test_task_summary_line_format(self):
+        assert self.STATS.task_summary() == (
+            "task summary: ok=1 retried=1 timed_out=1 failed=1 "
+            "respawns=4 corrupt=1 wall_s=12.35 peak_workers=2")
+
+    def test_stats_count_each_task_outcome_once(self, tmp_path,
+                                                monkeypatch):
+        def fails_seed_7(payload):
+            if payload["scenario"]["seed"] == 7:
+                raise ValueError("seeded failure")
+            return jobs_module.execute_payload(payload)
+
+        monkeypatch.setattr("repro.sweep.runner.execute_payload",
+                            fails_seed_7)
+        cache = ResultCache(tmp_path)
+        run_sweep(_scenarios()[:1], cache=cache)
+        outcomes, stats = run_sweep(_scenarios(), cache=cache)
+        assert [o.task.status if o.task else "hit" for o in outcomes] \
+            == ["hit", "ok", "failed"]
+        assert (stats.hits, stats.executed, stats.ok, stats.retried,
+                stats.timed_out, stats.failed, stats.respawns,
+                stats.peak_workers) == (1, 2, 1, 0, 0, 1, 0, 1)
+        assert stats.failures == 1
 
 
 class TestFigureArtifacts:

@@ -14,8 +14,8 @@ import pytest
 
 from repro.sweep.supervise import (STATUS_FAILED, STATUS_OK,
                                    STATUS_RETRIED, STATUS_TIMED_OUT,
-                                   SuperviseConfig, SuperviseStats,
-                                   TaskOutcome, run_supervised)
+                                   SuperviseConfig, TaskOutcome,
+                                   run_supervised)
 
 #: Fast supervision for tests: tight watchdog polling, near-zero
 #: backoff so retries don't slow the suite down.
@@ -54,18 +54,16 @@ def _tasks(count, **extra):
 
 class TestSerialPath:
     def test_results_and_outcomes(self):
-        results, outcomes, stats = run_supervised(
+        results, outcomes, respawns, peak_workers = run_supervised(
             _double, _tasks(3), jobs=1)
         assert results == {f"task{i}": {"value": i * 2} for i in range(3)}
         assert all(o.status == STATUS_OK and o.attempts == 1
                    for o in outcomes.values())
-        assert stats.respawns == 0
-        assert stats.ok == 3
-        assert stats.peak_workers == 1
-        assert stats.wall_s >= 0.0
+        assert respawns == 0
+        assert peak_workers == 1
 
     def test_exception_becomes_failed_outcome(self):
-        results, outcomes, _ = run_supervised(
+        results, outcomes, _, _ = run_supervised(
             _deterministic_error, _tasks(2), jobs=1)
         assert results == {}
         for outcome in outcomes.values():
@@ -83,30 +81,29 @@ class TestSerialPath:
 
 class TestPool:
     def test_clean_pool_run(self):
-        results, outcomes, stats = run_supervised(
+        results, outcomes, respawns, peak_workers = run_supervised(
             _double, _tasks(4), jobs=2, config=SuperviseConfig(**FAST))
         assert results == {f"task{i}": {"value": i * 2} for i in range(4)}
         assert all(o.status == STATUS_OK for o in outcomes.values())
-        assert stats.respawns == 0
-        assert 1 <= stats.peak_workers <= 2
-        assert stats.wall_s > 0.0
+        assert respawns == 0
+        assert 1 <= peak_workers <= 2
 
     def test_worker_crash_is_retried_and_recovers(self, tmp_path):
-        results, outcomes, stats = run_supervised(
+        results, outcomes, respawns, _ = run_supervised(
             _crash_once, _tasks(2, dir=str(tmp_path)), jobs=2,
             config=SuperviseConfig(**FAST))
         assert results == {f"task{i}": {"value": i} for i in range(2)}
-        assert stats.respawns >= 1
+        assert respawns >= 1
         # At least one task died and came back; none terminally failed.
         assert any(o.status == STATUS_RETRIED for o in outcomes.values())
         assert all(o.ok for o in outcomes.values())
 
     def test_persistent_crash_exhausts_retries(self):
-        results, outcomes, stats = run_supervised(
+        results, outcomes, respawns, _ = run_supervised(
             _always_crash, _tasks(2), jobs=2,
             config=SuperviseConfig(max_retries=1, **FAST))
         assert results == {}
-        assert stats.respawns >= 1
+        assert respawns >= 1
         for outcome in outcomes.values():
             assert outcome.status == STATUS_FAILED
             assert outcome.attempts == 2  # first try + one retry
@@ -114,18 +111,18 @@ class TestPool:
     def test_hang_hits_the_watchdog(self):
         # Two tasks: a single task takes the serial in-process path,
         # which has no watchdog (a thread cannot preempt itself).
-        results, outcomes, stats = run_supervised(
+        results, outcomes, respawns, _ = run_supervised(
             _hang, _tasks(2), jobs=2,
             config=SuperviseConfig(task_timeout=0.5, max_retries=0,
                                    **FAST))
         assert results == {}
-        assert stats.respawns >= 1
+        assert respawns >= 1
         for outcome in outcomes.values():
             assert outcome.status == STATUS_TIMED_OUT
             assert "timed out" in outcome.error
 
     def test_deterministic_error_is_never_retried(self):
-        results, outcomes, _ = run_supervised(
+        results, outcomes, _, _ = run_supervised(
             _deterministic_error, _tasks(2), jobs=2,
             config=SuperviseConfig(**FAST))
         assert results == {}
@@ -155,38 +152,6 @@ class TestConfig:
         assert cfg.backoff("k", 1) <= 1.5
         assert cfg.backoff("k", 10) <= 4.0 * 1.5
 
-    def test_stats_of_counts_statuses(self):
-        outcomes = [TaskOutcome(key="a", status=STATUS_OK),
-                    TaskOutcome(key="b", status=STATUS_RETRIED),
-                    TaskOutcome(key="c", status=STATUS_TIMED_OUT),
-                    TaskOutcome(key="d", status=STATUS_FAILED)]
-        stats = SuperviseStats.of(outcomes, respawns=3)
-        assert (stats.ok, stats.retried, stats.timed_out,
-                stats.failed, stats.respawns) == (1, 1, 1, 1, 3)
-        assert stats.failures == 2
-        assert "ok=1" in stats.summary()
-
-    def test_summary_line_format(self):
-        # The line is machine-parseable and its field order is
-        # load-bearing: CI greps match a prefix ending at respawns=,
-        # so wall_s/peak_workers must append after it, never reorder.
-        stats = SuperviseStats(ok=2, retried=1, respawns=4,
-                               wall_s=12.345, peak_workers=8)
-        line = stats.summary()
-        assert line == ("task summary: ok=2 retried=1 timed_out=0 "
-                        "failed=0 respawns=4 wall_s=12.35 "
-                        "peak_workers=8")
-        import re
-        assert re.search(r"task summary: .*failed=0 respawns=[0-9]+",
-                         line)
-
-    def test_run_supervised_populates_wall_and_peak(self):
-        _, _, stats = run_supervised(
-            _double, _tasks(4), jobs=2, config=SuperviseConfig(**FAST))
-        assert f"peak_workers={stats.peak_workers}" in stats.summary()
-        assert stats.peak_workers >= 1
-        assert stats.wall_s > 0.0
-
 
 class TestOutcome:
     def test_to_dict_omits_absent_error(self):
@@ -207,5 +172,5 @@ class TestOutcome:
 def test_rejecting_pool_width_happens_in_runner():
     # run_supervised itself accepts jobs<=1 (serial); the engine
     # validates jobs>=1 before calling in.
-    results, _, _ = run_supervised(_double, _tasks(1), jobs=0)
+    results, _, _, _ = run_supervised(_double, _tasks(1), jobs=0)
     assert results["task0"] == {"value": 0}
