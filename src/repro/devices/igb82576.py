@@ -21,6 +21,7 @@ model is register-level where the architecture depends on it:
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import Callable, List, Optional
 
 from repro.devices.l2switch import L2Switch, SwitchTarget
@@ -382,7 +383,11 @@ class Igb82576Port:
         self.regs = build_pf_registers(self, self.RECEIVE_ADDRESS_ENTRIES)
         self.vfs: List[VirtualFunction] = []
         self.uplink: Optional[Link] = None
+        #: (dst, vlan) -> the switch's targets, for one switch generation.
         self._classify_cache: dict = {}
+        #: (dst, vlan) -> the functions receiving it, for one switch
+        #: generation and one VF set.
+        self._receivers: dict = {}
         self._classify_generation = -1
         #: Set by the platform/hypervisor: (function, MsiMessage) sink.
         self.interrupt_sink: Optional[Callable[["_NetFunction", MsiMessage], None]] = None
@@ -421,12 +426,14 @@ class Igb82576Port:
             vf = VirtualFunction(self.sim, self, i)
             vf.pci.rid = self.pf.sriov.vf_rid(pf_rid, i)
             self.vfs.append(vf)
+        self._receivers.clear()
         return list(self.vfs)
 
     def disable_vfs(self) -> None:
         for vf in self.vfs:
             vf.reset()
         self.vfs.clear()
+        self._receivers.clear()
         self.pf.sriov.disable_vfs()
 
     def vf(self, index: int) -> VirtualFunction:
@@ -442,9 +449,11 @@ class Igb82576Port:
     def wire_receive(self, burst: List[Packet]) -> None:
         """Packets arriving from the physical line.
 
-        Classification results are cached per (dst, vlan) against the
-        switch's programming generation — the wire-rate fast path of
-        this model, like the real switch's CAM.
+        The receiving functions are cached per (dst, vlan) — the
+        wire-rate fast path of this model, like the real switch's CAM.
+        A burst is walked by header run: a run is one packet referenced
+        several times (a netperf burst is one run), so each run costs
+        one cache read, whatever its length.
         """
         fluid_tx = self._fluid_tx
         if fluid_tx is not None:
@@ -452,51 +461,46 @@ class Igb82576Port:
         self.wire_rx_packets += len(burst)
         if self._classify_generation != self.switch.generation:
             self._classify_cache.clear()
+            self._receivers.clear()
             self._classify_generation = self.switch.generation
-        cache = self._classify_cache
+        receivers = self._receivers
+        # function -> (its packets, their bytes), in first-seen order.
         by_function: dict = {}
-        # Targets are resolved once per run of equal (dst, vlan) keys.
-        # A netperf burst is one flow — and reuses one MacAddress object
-        # per stream — so run detection is an identity check and the
-        # per-packet work collapses to one bound append (the dominant
-        # single-destination case) into already-resolved lists.
-        run_dst = None
-        run_vlan = None
-        run_lists: list = []
-        run_append = None
-        for packet in burst:
-            dst = packet.dst
-            vlan = packet.vlan
-            if dst is not run_dst or vlan != run_vlan:
-                run_dst = dst
-                run_vlan = vlan
-                key = (dst, vlan)
-                targets = cache.get(key)
-                if targets is None:
-                    targets = self.switch.classify(packet)
-                    cache[key] = targets
-                run_lists = []
-                for target in targets:
-                    if target.is_uplink:
-                        continue  # came from the wire; nothing local wants it
-                    function = self._function_for(target)
-                    if function is not None:
-                        entry = by_function.get(id(function))
-                        if entry is None:
-                            entry = (function, [])
-                            by_function[id(function)] = entry
-                        run_lists.append(entry[1])
-                run_append = (run_lists[0].append
-                              if len(run_lists) == 1 else None)
-            if run_append is not None:
-                run_append(packet)
-            else:
-                for packets in run_lists:
-                    packets.append(packet)
-        for function, packets in by_function.values():
+        for packet, run in groupby(burst):
+            functions = receivers.get((packet.dst, packet.vlan))
+            if functions is None:
+                functions = self._resolve_receivers(packet)
+            if not functions:
+                continue
+            run = list(run)
+            size = packet.size_bytes * len(run)
+            for function in functions:
+                booked = by_function.get(function)
+                by_function[function] = (
+                    (run, size) if booked is None
+                    else (booked[0] + run, booked[1] + size))
+        transfer = self.datapath.transfer
+        for function, (packets, size) in by_function.items():
             # One DMA crossing host-ward per packet, booked as a batch.
-            self.datapath.transfer(sum(p.size_bytes for p in packets))
+            transfer(size)
             function.device_receive(packets)
+
+    def _resolve_receivers(self, packet: Packet) -> tuple:
+        """The local functions a wire packet's (dst, vlan) reaches.
+
+        The switch classifies each key once per generation, so its
+        ``unknown_unicast`` count is the same whether a key is resolved
+        again after a VF set change or not.  An uplink target means
+        nothing local wants the packet: it came from the wire.
+        """
+        key = (packet.dst, packet.vlan)
+        targets = self._classify_cache.get(key)
+        if targets is None:
+            targets = self._classify_cache[key] = self.switch.classify(packet)
+        resolved = map(self._function_for, targets)
+        functions = self._receivers[key] = tuple(
+            function for function in resolved if function is not None)
+        return functions
 
     # ------------------------------------------------------------------
     # transmit routing

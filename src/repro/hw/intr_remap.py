@@ -17,7 +17,7 @@ hardware guarantees a VF cannot raise vectors it was not granted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional
 
 from repro.hw.msi import MsiMessage
 
@@ -47,8 +47,10 @@ class InterruptRemapper:
     """The remapping unit: (RID, handle) -> validated vector."""
 
     def __init__(self) -> None:
-        #: (source_rid, requested_vector) -> IRTE.
-        self._entries: Dict[Tuple[int, int], Irte] = {}
+        #: source_rid -> {requested_vector -> IRTE}: a function's entries
+        #: are one dict read away, because every posted interrupt asks
+        #: whether its RID has any.
+        self._by_rid: Dict[int, Dict[int, Irte]] = {}
         self.remapped = 0
         self.faults = 0
 
@@ -56,18 +58,24 @@ class InterruptRemapper:
                 destination: int = 0) -> Irte:
         """Install an IRTE permitting ``source_rid`` to raise ``vector``."""
         entry = Irte(source_rid, vector, destination)
-        self._entries[(source_rid, vector)] = entry
+        self._by_rid.setdefault(source_rid, {})[vector] = entry
         return entry
 
     def revoke(self, source_rid: int, vector: int) -> None:
-        self._entries.pop((source_rid, vector), None)
+        entries = self._by_rid.get(source_rid)
+        if entries is not None:
+            entries.pop(vector, None)
+            if not entries:
+                del self._by_rid[source_rid]
 
     def revoke_all_for(self, source_rid: int) -> int:
         """Tear down every IRTE of a function (device removal)."""
-        keys = [key for key in self._entries if key[0] == source_rid]
-        for key in keys:
-            del self._entries[key]
-        return len(keys)
+        return len(self._by_rid.pop(source_rid, ()))
+
+    def lookup(self, source_rid: int, vector: int) -> Optional[Irte]:
+        """The IRTE permitting ``source_rid`` to raise ``vector``, if any."""
+        entries = self._by_rid.get(source_rid)
+        return None if entries is None else entries.get(vector)
 
     def remap(self, source_rid: int, message: MsiMessage) -> Irte:
         """Validate and translate one posted interrupt.
@@ -76,7 +84,7 @@ class InterruptRemapper:
         for the vector it is trying to raise — the anti-spoofing
         property.
         """
-        entry = self._entries.get((source_rid, message.vector))
+        entry = self.lookup(source_rid, message.vector)
         if entry is None:
             self.faults += 1
             raise InterruptRemapFault(source_rid, message.vector,
@@ -85,8 +93,8 @@ class InterruptRemapper:
         return entry
 
     def entries_for(self, source_rid: int) -> int:
-        return sum(1 for key in self._entries if key[0] == source_rid)
+        return len(self._by_rid.get(source_rid, ()))
 
     @property
     def entry_count(self) -> int:
-        return len(self._entries)
+        return sum(map(len, self._by_rid.values()))

@@ -50,15 +50,18 @@ def load_journal(path, *, strict: bool = True) -> List[Dict[str, Any]]:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise JournalError(f"cannot read journal {path}: {exc}")
     records: List[Dict[str, Any]] = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(data.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            record = validate_record(json.loads(line), journal=True)
+            # A line that is not UTF-8 is invalid like any other:
+            # UnicodeDecodeError is a ValueError.
+            record = validate_record(json.loads(line.decode("utf-8")),
+                                     journal=True)
         except (ValueError, SnapshotError) as exc:
             if strict:
                 raise JournalError(f"{path}:{number}: {exc}")

@@ -240,8 +240,8 @@ class FluidFlow:
             # The remap the exact chain performs must succeed (a
             # missing IRTE would *block* the interrupt — not eligible).
             rid = vf.pci.rid
-            if (rid is None or platform.intr_remapper._entries.get(
-                    (rid, vector)) is None):
+            if (rid is None
+                    or platform.intr_remapper.lookup(rid, vector) is None):
                 return self._reject("irte_missing")
             if domain.is_hvm:
                 self._vlapic = platform.vlapic(domain)

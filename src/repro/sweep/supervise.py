@@ -202,7 +202,12 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
                                  next(tiebreak), key, payloads[key]))
 
     def respawn_pool() -> None:
+        """Every in-flight future of a broken pool is doomed: re-queue
+        them without an attempt charge and start a new pool."""
         nonlocal executor, respawns
+        for key, _ in inflight.values():
+            transient_failure(key, "pool-mate crash", charge=False)
+        inflight.clear()
         _shutdown_pool(executor)
         respawns += 1
         executor = ProcessPoolExecutor(max_workers=width)
@@ -217,7 +222,16 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
             while pending and len(inflight) < width:
                 key, payload = pending.pop(0)
                 outcomes[key].attempts += 1
-                future = executor.submit(fn, payload)
+                try:
+                    future = executor.submit(fn, payload)
+                except BrokenProcessPool:
+                    # A worker died after the last wait(): this task
+                    # never ran, so it goes back free, as its
+                    # pool-mates do.
+                    transient_failure(key, "BrokenProcessPool",
+                                      charge=False)
+                    respawn_pool()
+                    continue
                 inflight[future] = (key, time.monotonic())
                 if hub is not None:
                     hub.task_running(key, outcomes[key].attempts)
@@ -249,12 +263,6 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
                     finish(key, STATUS_OK if outcome.attempts == 1
                            else STATUS_RETRIED)
             if broken:
-                # Every other in-flight future on a broken pool is
-                # doomed too; re-queue them without an attempt charge.
-                for future, (key, _) in list(inflight.items()):
-                    transient_failure(key, "pool-mate crash",
-                                      charge=False)
-                inflight.clear()
                 respawn_pool()
                 continue
             if cfg.task_timeout is None:
@@ -266,14 +274,13 @@ def _run_pool(fn, tasks, cfg, results, outcomes, finish, jobs, tell,
             if not overdue:
                 continue
             # A running future cannot be cancelled: terminate the
-            # workers (everything in flight dies) and respawn.
-            overdue_keys = {key for _, key in overdue}
+            # workers (everything in flight dies) and respawn.  Only
+            # the overdue tasks are charged.
             tell(f"  watchdog: {len(overdue)} task(s) over "
                  f"{cfg.task_timeout}s; terminating workers")
-            for future, (key, _) in list(inflight.items()):
-                transient_failure(key, "timeout",
-                                  charge=key in overdue_keys)
-            inflight.clear()
+            for future, key in overdue:
+                del inflight[future]
+                transient_failure(key, "timeout")
             respawn_pool()
     finally:
         _shutdown_pool(executor)

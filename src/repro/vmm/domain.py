@@ -39,6 +39,11 @@ class GuestKernel(Enum):
         return self is GuestKernel.LINUX_2_6_18
 
 
+#: The machine account of each domain kind's cycles; guests of every
+#: kind share "guest".
+_ACCOUNT_LABELS = {DomainKind.DOM0: "dom0", DomainKind.NATIVE: "native"}
+
+
 @dataclass
 class Vcpu:
     """A virtual CPU pinned to one hardware thread (§6.1 pinning)."""
@@ -71,6 +76,11 @@ class Domain:
         self.io_page_table = IoPageTable(domain_id)
         #: HVM guests get a virtual LAPIC per VCPU (we model VCPU 0's).
         self.lapic: Optional[Lapic] = Lapic(domain_id) if kind is DomainKind.HVM else None
+        #: The xentop-style account this domain's cycles land in, and
+        #: each VCPU's home core: a domain's kind and pinning are fixed
+        #: at creation, so every charge indexes them directly.
+        self.account_label = _ACCOUNT_LABELS.get(kind, "guest")
+        self._home_cores = [machine.core(core) for core in core_indexes]
         self.running = True
         #: Per-domain cycle counter (the machine's accounts aggregate
         #: all guests into one label; this keeps the per-domain split
@@ -90,15 +100,6 @@ class Domain:
     def is_dom0(self) -> bool:
         return self.kind is DomainKind.DOM0
 
-    @property
-    def account_label(self) -> str:
-        """The xentop-style account this domain's cycles land in."""
-        if self.is_dom0:
-            return "dom0"
-        if self.kind is DomainKind.NATIVE:
-            return "native"
-        return "guest"
-
     def home_core(self, vcpu: int = 0) -> int:
         return self.vcpus[vcpu].core_index
 
@@ -107,8 +108,7 @@ class Domain:
     # ------------------------------------------------------------------
     def charge_guest(self, cycles: float, vcpu: int = 0) -> None:
         """Work executed inside this domain."""
-        core = self.machine.core(self.home_core(vcpu))
-        core.charge(self.account_label, cycles)
+        self._home_cores[vcpu].charge(self.account_label, cycles)
         self.cycles_consumed += cycles
 
     def reset_accounting(self) -> None:
@@ -116,8 +116,7 @@ class Domain:
 
     def charge_hypervisor(self, cycles: float, vcpu: int = 0) -> None:
         """Hypervisor work done on this domain's behalf (VM exits)."""
-        core = self.machine.core(self.home_core(vcpu))
-        core.charge("xen", cycles)
+        self._home_cores[vcpu].charge("xen", cycles)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Domain {self.id} {self.name!r} {self.kind.value}>"

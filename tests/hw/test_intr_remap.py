@@ -58,3 +58,34 @@ def test_revoke_all_for_function():
 def test_revoke_is_idempotent():
     remapper = InterruptRemapper()
     remapper.revoke(0x999, 0x40)  # nothing to remove, no error
+
+
+def test_counts_stay_exact_through_reprogramming():
+    """Programming a (RID, vector) twice keeps one entry; revoking the
+    last entry of a RID leaves it none; re-programming brings it back."""
+    remapper = InterruptRemapper()
+
+    def counts():
+        return (remapper.entries_for(0x180), remapper.entries_for(0x182),
+                remapper.entry_count)
+
+    remapper.program(0x180, 0x40)
+    remapper.program(0x182, 0x42)
+    assert counts() == (1, 1, 2)
+    second = remapper.program(0x180, 0x40, destination=3)
+    assert counts() == (1, 1, 2)
+    assert remapper.lookup(0x180, 0x40) is second  # the latest wins
+    remapper.program(0x180, 0x41)
+    assert counts() == (2, 1, 3)
+    remapper.revoke(0x180, 0x40)
+    assert counts() == (1, 1, 2)
+    assert remapper.lookup(0x180, 0x40) is None
+    assert remapper.revoke_all_for(0x180) == 1
+    assert counts() == (0, 1, 1)
+    assert remapper.revoke_all_for(0x180) == 0
+    assert counts() == (0, 1, 1)
+    remapper.revoke(0x182, 0x42)
+    assert counts() == (0, 0, 0)
+    remapper.program(0x180, 0x40)
+    assert counts() == (1, 0, 1)
+    assert remapper.remap(0x180, message(0x40)).vector == 0x40

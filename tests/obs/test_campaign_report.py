@@ -94,6 +94,32 @@ class TestLoadJournal:
             load_journal(path)
 
 
+    def test_non_utf8_file_is_a_journal_error(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n\x00")
+        with pytest.raises(JournalError, match="c.jsonl:1: .*utf-8"):
+            load_journal(path)
+        with pytest.raises(JournalError, match="no records"):
+            load_journal(path, strict=False)
+
+    def test_non_utf8_line_is_skipped_tolerantly(self, tmp_path):
+        path = write_journal(tmp_path / "c.jsonl", journal_records())
+        with open(path, "ab") as handle:
+            handle.write(b'{"kind": "campaign_end\xff\n')
+        with pytest.raises(JournalError, match="c.jsonl:10:"):
+            load_journal(path)
+        assert len(load_journal(path, strict=False)) == 9
+
+    def test_report_check_exits_1_on_non_utf8_file(self, tmp_path, capsys):
+        from repro.cli import run_cli
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b"\xff\xfe\x00\x01")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["report", str(path), "--check"])
+        assert exit_info.value.code != 0
+        assert "c.jsonl:1:" in str(exit_info.value.code)
+
+
 class TestReplay:
     def test_full_cell_lifecycle(self):
         cells = replay(journal_records())

@@ -8,10 +8,13 @@ reference.  Crash-once workers coordinate through a marker directory
 
 import os
 import time
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
+from repro.sweep import supervise
 from repro.sweep.supervise import (STATUS_FAILED, STATUS_OK,
                                    STATUS_RETRIED, STATUS_TIMED_OUT,
                                    SuperviseConfig, TaskOutcome,
@@ -138,6 +141,47 @@ class TestPool:
                        on_result=lambda key, task, result:
                        landed.append((key, result is not None)))
         assert sorted(landed) == [("task0", True), ("task1", True)]
+
+
+class _SubmitBreaksOnce:
+    """A pool stand-in that runs each task inline.  The first pool
+    takes one task, then its next ``submit`` raises
+    ``BrokenProcessPool``: a worker died after the last ``wait()``."""
+
+    pools = 0
+
+    def __init__(self, max_workers):
+        type(self).pools += 1
+        self.accepts = 1 if type(self).pools == 1 else None
+
+    def submit(self, fn, payload):
+        if self.accepts is not None:
+            if self.accepts == 0:
+                raise BrokenProcessPool("a worker died")
+            self.accepts -= 1
+        future = Future()
+        future.set_result(fn(payload))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenAtSubmit:
+    def test_task_and_pool_mates_requeue_free(self, monkeypatch):
+        monkeypatch.setattr(supervise, "ProcessPoolExecutor",
+                            _SubmitBreaksOnce)
+        monkeypatch.setattr(_SubmitBreaksOnce, "pools", 0)
+        said = []
+        results, outcomes, respawns, _ = run_supervised(
+            _double, _tasks(3), jobs=2, config=SuperviseConfig(**FAST),
+            say=said.append)
+        assert results == {f"task{i}": {"value": i * 2} for i in range(3)}
+        assert all(o.status == STATUS_OK and o.attempts == 1
+                   for o in outcomes.values())
+        assert respawns == 1
+        assert _SubmitBreaksOnce.pools == 2
+        assert not said  # nothing was retried with backoff
 
 
 class TestConfig:
