@@ -386,7 +386,8 @@ def run(scenario: Scenario, *, costs: Optional[CostModel] = None,
     ``costs`` overrides the calibrated :class:`CostModel`; it is the
     only run input outside the Scenario itself, which is why the sweep
     cache keys on exactly (scenario dict, cost-model dict, schema
-    version).  ``telemetry``/``profile`` attach observers without
+    version).  Its per-event cycle costs must be whole numbers
+    (:meth:`CostModel.validate` raises ``ValueError`` otherwise).  ``telemetry``/``profile`` attach observers without
     changing the simulation (they never enter the cache key), and
     ``audit``/``audit_interval`` control the runtime invariant auditor
     (:mod:`repro.audit`) — also outside the key: the default

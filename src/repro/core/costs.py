@@ -13,6 +13,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
+#: The per-event cycle costs, each a whole number, so that guest and
+#: exit charges are integer-valued floats whose sums stay far below
+#: 2^53: merging or reordering them cannot change a book.  Ratios,
+#: rates, percentages and periods stay floats.
+CYCLE_FIELDS = (
+    "guest_cycles_per_packet", "guest_cycles_per_interrupt",
+    "pvm_syscall_surcharge_per_packet", "eoi_emulate_cycles",
+    "eoi_accelerated_cycles", "eoi_instruction_check_cycles",
+    "other_apic_access_cycles", "external_interrupt_exit_cycles",
+    "event_channel_notify_cycles", "dm_msi_roundtrip_cycles",
+    "xen_msi_forward_cycles", "guest_msi_stall_cycles",
+    "xen_msi_accelerated_cycles", "netback_cycles_per_packet_pvm",
+    "netback_hvm_extra_cycles", "netfront_cycles_per_packet",
+    "vmdq_dom0_cycles_per_packet", "vmdq_fallback_cycles_per_packet",
+)
+
+
 @dataclass
 class CostModel:
     """Cycle costs and testbed constants for the simulation.
@@ -167,6 +184,11 @@ class CostModel:
 
     def validate(self) -> "CostModel":
         """Sanity-check the parameterization; returns self for chaining."""
+        for name in CYCLE_FIELDS:
+            value = getattr(self, name)
+            if not float(value).is_integer():
+                raise ValueError(f"CostModel.{name} must be a whole number "
+                                 f"of cycles, got {value!r}")
         positive_fields = [
             "clock_hz", "guest_cycles_per_packet", "guest_cycles_per_interrupt",
             "eoi_emulate_cycles", "eoi_accelerated_cycles",

@@ -630,11 +630,8 @@ class ExperimentRunner:
             # Group the burst into messages of `frames` frames each.
             messages = max(1, len(burst) // frames)
             cycles = per_message_cycles * messages
-
-            def complete(burst=burst):
-                receiver.netfront.receive_burst(burst)
-
-            if not executor.submit(cycles, complete):
+            if not executor.submit(cycles, receiver.netfront.receive_burst,
+                                   burst):
                 netback.dropped_packets += len(burst)
 
         mtu = min(message_bytes, DEFAULT_MTU)

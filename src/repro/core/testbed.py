@@ -15,6 +15,7 @@ each port j".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -438,7 +439,7 @@ class Testbed:
         dst = MacAddress(0x02_0000_00E000 + guest.netfront.frontend_id)
         stream = NetperfStream(
             self.sim,
-            lambda burst: self.netback.deliver(guest.netfront, burst),
+            partial(self.netback.deliver, guest.netfront),
             self._next_client_mac(), dst, throughput_bps, protocol, mtu,
             burst_interval=self._burst_interval_for(throughput_bps),
             name=f"client->{guest.domain.name}",

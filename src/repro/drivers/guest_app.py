@@ -69,6 +69,15 @@ class NetserverApp:
         """
         total = len(burst)
         accepted = min(total, self.batch_capacity) if capped else total
+        if accepted:
+            first = burst[0]
+            # A one-header burst is one run.  The O(1) identity check
+            # keeps mixed ISR batches off the C-level count.
+            if burst[-1] is first and burst.count(first) == total:
+                self.account([now - first.created_at], [accepted],
+                             [_payload(first.size_bytes, first.protocol)],
+                             total - accepted)
+                return accepted, total - accepted
         latencies: List[float] = []
         counts: List[int] = []
         payloads: List[int] = []

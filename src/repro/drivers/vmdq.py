@@ -88,10 +88,10 @@ class VmdqService:
                 spread = self.executors[1:] or self.executors
                 executor = spread[queue.index % len(spread)]
             cycles = self.cycles_per_packet(dedicated) * len(packets)
-
-            def complete(netfront=netfront, packets=packets) -> None:
-                self.delivered_packets += len(packets)
-                netfront.receive_burst(packets)
-
-            if not executor.submit(cycles, complete):
+            if not executor.submit(cycles, self._complete, netfront,
+                                   packets):
                 self.dropped_packets += len(packets)
+
+    def _complete(self, netfront, packets: List[Packet]) -> None:
+        self.delivered_packets += len(packets)
+        netfront.receive_burst(packets)

@@ -144,7 +144,7 @@ class Executor:
         self.core = core
         self.label = label
         self.queue_limit = queue_limit
-        self._queue: Deque[Tuple[float, Callable[[], Any]]] = deque()
+        self._queue: Deque[Tuple[float, Callable[..., Any], tuple]] = deque()
         self._busy = False
         self.rejected = 0
         self.completed = 0
@@ -157,28 +157,37 @@ class Executor:
     def busy(self) -> bool:
         return self._busy
 
-    def submit(self, cycles: float, on_done: Callable[[], Any]) -> bool:
-        """Queue ``cycles`` of work; returns False if the queue is full."""
+    def submit(self, cycles: float, on_done: Callable[..., Any],
+               *args: Any) -> bool:
+        """Queue ``cycles`` of work that ends in ``on_done(*args)``;
+        returns False if the queue is full.
+
+        Callers pass a bound method and its arguments rather than a
+        closure, so no function object is built per item.
+        """
         if cycles < 0:
             raise ValueError("cannot submit negative work")
         if len(self._queue) >= self.queue_limit:
             self.rejected += 1
             return False
-        self._queue.append((cycles, on_done))
-        if not self._busy:
-            self._start_next()
+        if self._busy:
+            self._queue.append((cycles, on_done, args))
+        else:
+            # An idle executor has an empty queue: start at once.
+            self._busy = True
+            self._start(cycles, on_done, args)
         return True
 
-    def _start_next(self) -> None:
-        if not self._queue:
-            self._busy = False
-            return
-        self._busy = True
-        cycles, on_done = self._queue.popleft()
+    def _start(self, cycles: float, on_done: Callable[..., Any],
+               args: tuple) -> None:
         self.core.charge(self.label, cycles)
-        self.sim.schedule(cycles / self.core.clock_hz, self._finish, on_done)
+        self.sim.schedule(cycles / self.core.clock_hz, self._finish,
+                          on_done, args)
 
-    def _finish(self, on_done: Callable[[], Any]) -> None:
+    def _finish(self, on_done: Callable[..., Any], args: tuple) -> None:
         self.completed += 1
-        on_done()
-        self._start_next()
+        on_done(*args)
+        if self._queue:
+            self._start(*self._queue.popleft())
+        else:
+            self._busy = False

@@ -18,6 +18,9 @@ figure campaign, so this is the repro's wall clock):
 * Every ``schedule`` builds a fresh :class:`EventHandle`.  A
   refcount-gated free list of fired handles was measured against this
   and moved no perfbench workload (docs/performance.md).
+* ``schedule`` pushes its own event instead of forwarding to
+  ``schedule_at``: one Python call per scheduled event, and its
+  argument tuple is built once.
 * ``run()`` dispatches inline — no ``peek()``/``step()`` double heap
   touch — and ``pending_events`` is O(1) via a live-event counter.
 * Lazily-cancelled debris is compacted eagerly once it outnumbers the
@@ -124,10 +127,20 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
-        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
+
+        Pushes its own event: forwarding to :meth:`schedule_at` would
+        cost every event a second call and a second argument tuple.
+        """
+        if not delay >= 0:  # also rejects NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback, *args)
+        time = self.now + delay
+        seq = self._seq
+        self._seq = seq + 1
+        handle = EventHandle(time, seq, callback, args, self)
+        self._live += 1
+        heappush(self._heap, (time, seq, handle))
+        return handle
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute simulated ``time``."""

@@ -249,8 +249,6 @@ class FluidFlow:
                     return self._reject("lapic_busy")
             elif not domain.is_pvm:
                 return self._reject("domain_kind")
-        if not self._integral_costs():
-            return self._reject("nonintegral_costs")
         route_gate = self._route_gate()
         if route_gate is not None:
             return self._reject(route_gate)
@@ -281,28 +279,6 @@ class FluidFlow:
                 self.stream.dst, self.stream.vlan) != self.vf.function_index:
             return "switch_dst"
         return None
-
-    def _integral_costs(self) -> bool:
-        """Every replayed cycle charge must be an integer-valued float:
-        a window's charges land as ``count × cost`` sums, and integer
-        sums are exact in any grouping, so batching cannot move a shared
-        account (e.g. two guests pinned to one core charging ``xen``)
-        off the exact run's value.
-        """
-        costs = self.driver.costs
-        checked = [
-            costs.guest_cycles_per_interrupt,
-            costs.guest_cycles_per_packet,
-        ]
-        if not self.driver.platform.is_native:
-            checked.append(costs.external_interrupt_exit_cycles)
-        if self._vlapic is not None:
-            checked.append(costs.other_apic_access_cycles)
-            checked.append(self._vlapic.eoi_cycles)
-        elif self.driver.domain.is_pvm:
-            checked.append(costs.event_channel_notify_cycles)
-            checked.append(costs.pvm_syscall_surcharge_per_packet)
-        return all(float(c).is_integer() for c in checked)
 
     def _lapic_busy(self) -> bool:
         """Is the guest's LAPIC anything but idle for the flow's vector?
@@ -1103,9 +1079,6 @@ class FluidLoopbackFlow(FluidTxFlow):
             return gate
         if self.tx is self.vf:
             return "tx_is_rx"
-        if not float(
-                self.tx_driver.costs.guest_cycles_per_packet).is_integer():
-            return "nonintegral_costs"
         return None
 
     def _tick(self) -> None:

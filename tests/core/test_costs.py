@@ -1,8 +1,10 @@
 """Unit tests for the calibrated cost model."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core.costs import CostModel
+from repro.core.costs import CYCLE_FIELDS, CostModel
 
 
 def test_defaults_validate():
@@ -56,3 +58,19 @@ def test_aic_interrupt_hz_floor_and_slope():
 def test_validate_returns_self_for_chaining():
     costs = CostModel()
     assert costs.validate() is costs
+
+
+def test_validation_requires_whole_cycle_costs():
+    with pytest.raises(ValueError, match="guest_cycles_per_interrupt"):
+        CostModel(guest_cycles_per_interrupt=14000.5).validate()
+    for name in CYCLE_FIELDS:
+        with pytest.raises(ValueError, match=name):
+            replace(CostModel(), **{name: getattr(CostModel(), name) + 0.25}
+                    ).validate()
+    # Ratios, rates, percentages and periods stay free floats.
+    CostModel(aic_redundancy=1.5).validate()
+    CostModel(other_apic_accesses_per_interrupt=1.13,
+              netback_contention_per_vm=0.0125,
+              dm_housekeeping_percent=2.75,
+              cpu_copy_bytes_per_cycle=4.25,
+              aic_sample_period=0.5).validate()

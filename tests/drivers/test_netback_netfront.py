@@ -3,9 +3,11 @@
 import pytest
 
 from repro.core import Testbed, TestbedConfig
+from repro.core.costs import CostModel
 from repro.net import Packet
 from repro.net.mac import MacAddress
 from repro.vmm import DomainKind
+from repro.vmm.grant_table import GrantTable
 
 SRC = MacAddress(0x020000000001)
 DST = MacAddress(0x020000000002)
@@ -152,3 +154,92 @@ def test_copy_cost_follows_the_frontend_count():
     relieved = [charged(guest) for guest in (guests[0], guests[-1])]
     assert relieved == [expected(guests[0]), expected(guests[-1])]
     assert relieved[0] < crowded[0] and relieved[1] < crowded[1]
+
+
+def _copy_books(bed, guest):
+    table = guest.netfront.grant_table
+    return (table._next_ref, table.copies, table.copied_bytes,
+            bed.netback.delivered_packets)
+
+
+def _per_packet_books(bursts):
+    """The books a copy of each burst's per-packet size list leaves."""
+    table = GrantTable(0)
+    for packets in bursts:
+        table.copy_burst(0, [packet.size_bytes for packet in packets])
+    return (table._next_ref, table.copies, table.copied_bytes,
+            sum(map(len, bursts)))
+
+
+@pytest.mark.parametrize("shape", ["one header", "equal fields",
+                                   "first recurs"])
+def test_copy_books_match_the_per_packet_size_list(shape):
+    # A one-header burst books its sizes as one run; a burst of
+    # distinct headers, or one whose first header recurs after another
+    # (A A B A), takes the per-packet list.  Either way the table must
+    # read as the per-packet list left it.
+    bed, [guest] = build()
+    head = Packet(src=SRC, dst=DST, size_bytes=700)
+    other = Packet(src=SRC, dst=DST, size_bytes=1500)
+    first = {"one header": [head] * 8,
+             "equal fields": [Packet(src=SRC, dst=DST, size_bytes=700)
+                              for _ in range(8)],
+             "first recurs": [head, head, other, head]}[shape]
+    bursts = [first, [head], [other] * 3]
+    for packets in bursts:
+        assert bed.netback.deliver(guest.netfront, packets)
+    bed.sim.run()
+    assert _copy_books(bed, guest) == _per_packet_books(bursts)
+    assert guest.app.rx_packets == sum(map(len, bursts))
+
+
+def test_burst_refused_at_a_full_queue_books_nothing():
+    bed, [guest] = build()
+    netback = bed.netback
+    head = Packet(src=SRC, dst=DST)
+    # One burst in service and a full queue behind it.
+    fill = netback.executors[0].queue_limit + 1
+    assert all(netback.deliver(guest.netfront, [head] * 4)
+               for _ in range(fill))
+    assert not netback.deliver(guest.netfront,
+                               [Packet(src=SRC, dst=DST, size_bytes=100)] * 9)
+    bed.sim.run()
+    assert _copy_books(bed, guest) == _per_packet_books([[head] * 4] * fill)
+    assert guest.app.rx_packets == 4 * fill
+    assert (netback.dropped_bursts, netback.dropped_packets) == (1, 9)
+
+
+def test_frontends_resolve_their_thread_and_current_price():
+    # Three threads, frontends connected and disconnected in turn: each
+    # connected frontend rides thread ``frontend_id % 3`` at the price
+    # of the current frontend count, and a burst is charged there.
+    bed = Testbed(TestbedConfig(ports=1, costs=CostModel(netback_threads=3)))
+    guests = [bed.add_pv_guest(DomainKind.HVM if k % 2 else DomainKind.PVM)
+              for k in range(13)]
+    netback = bed.netback
+    head = Packet(src=SRC, dst=DST)
+
+    def check():
+        for guest in guests:
+            netfront = guest.netfront
+            if netfront.backend is None:
+                continue
+            price, thread, executor, *_ = netback._frontends[netfront]
+            assert thread == netfront.frontend_id % 3
+            assert executor is netback.executors[thread]
+            assert price == netback.cycles_per_packet(netfront.domain)
+            bed.platform.start_measurement()
+            netback.deliver(netfront, [head] * 5)
+            assert executor.core.cycles("dom0") == price * 5
+            bed.sim.run()
+
+    check()
+    crowded = netback._frontends[guests[0].netfront][0]
+    for guest in guests[3:8]:
+        netback.disconnect(guest.netfront)
+        check()
+    assert netback._frontends[guests[0].netfront][0] < crowded
+    for guest in guests[3:6]:
+        netback.connect(guest.netfront)
+        check()
+    assert netback.frontend_count == 11

@@ -130,3 +130,34 @@ def test_executor_validates_parameters():
 def test_core_validates_clock():
     with pytest.raises(ValueError):
         CpuCore(Simulator(), 0, clock_hz=0)
+
+
+def test_executor_passes_submitted_arguments_in_fifo_order():
+    sim = Simulator()
+    core = CpuCore(sim, 0, clock_hz=1e9)
+    executor = Executor(sim, core, "netback", queue_limit=2)
+    done = []
+
+    def record(tag, *rest):
+        done.append((sim.now, tag, rest, executor.busy))
+
+    accepted = [executor.submit(1e6, record, "a"),
+                executor.submit(2e6, record, "b", 1, 2),
+                executor.submit(3e6, record, "c"),
+                executor.submit(4e6, record, "refused")]
+    assert accepted == [True, True, True, False]
+    assert (executor.rejected, executor.queue_depth) == (1, 2)
+    sim.run()
+    assert done == [(pytest.approx(1e-3), "a", (), True),
+                    (pytest.approx(3e-3), "b", (1, 2), True),
+                    (pytest.approx(6e-3), "c", (), True)]
+    # The refused item neither ran nor charged its cycles.
+    assert core.cycles("netback") == 6e6
+    assert (executor.completed, executor.busy, executor.queue_depth) \
+        == (3, False, 0)
+    # Idle again: the next submission starts at once, from now.
+    executor.submit(1e6, record, "d")
+    assert executor.busy
+    sim.run()
+    assert done[-1] == (pytest.approx(7e-3), "d", (), True)
+    assert executor.busy is False

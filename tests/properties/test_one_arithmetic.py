@@ -2,10 +2,13 @@
 
 The exact path calls each layer's entry point once per event; the fluid
 datapath calls the same entry point once per settle with a window's
-totals.  For integral costs (the fluid ``nonintegral_costs`` gate's
-condition) one call with ``n`` must leave exactly the state ``n`` calls
-with 1 leave: ledger cells (the one book of VM exits), core accounts,
-the vLAPIC's fractional carry, NAPI and VF counters, DMA bookings and the
+totals.  ``CostModel.validate`` holds every per-event cycle cost to a
+whole number, and :func:`test_integral_charges_book_alike_in_any_grouping`
+states the lemma that licenses batching: integral charges land on a core
+account or a ledger cell as identical floats in any grouping and order.
+So one call with ``n`` must leave exactly the state ``n`` calls with 1
+leave: ledger cells (the one book of VM exits), core accounts, the
+vLAPIC's fractional carry, NAPI and VF counters, DMA bookings and the
 app's latency sums and bins.
 
 ``NetserverApp.deliver`` groups a burst into runs of one shared
@@ -21,7 +24,7 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.costs import CostModel
@@ -29,12 +32,14 @@ from repro.core.optimizations import OptimizationConfig
 from repro.core.testbed import Testbed, TestbedConfig
 from repro.devices.igb82576 import Igb82576Port
 from repro.drivers.guest_app import NetserverApp
+from repro.hw.cpu import CpuCore
 from repro.hw.iommu import Iommu
 from repro.hw.pcie.datapath import PcieDataPath
 from repro.net.link import Link
 from repro.net.mac import MacAddress
 from repro.net.packet import (IP_HEADER_BYTES, Packet, Protocol,
                               TCP_HEADER_BYTES, UDP_HEADER_BYTES)
+from repro.obs.ledger import CycleLedger
 from repro.sim.engine import Simulator
 from repro.vmm.domain import DomainKind
 from repro.vmm.grant_table import GrantError, GrantTable
@@ -62,6 +67,31 @@ def integral_costs(draw):
         guest_cycles_per_packet=draw(cycles),
         pvm_syscall_surcharge_per_packet=draw(cycles),
     )
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**31), min_size=1,
+                max_size=200), st.randoms(use_true_random=False),
+       st.data())
+@settings(max_examples=100, deadline=None)
+def test_integral_charges_book_alike_in_any_grouping(charges, rng, data):
+    # The integral-books lemma: every charge is an integer-valued float
+    # and every running sum stays far below 2**53, so float addition is
+    # exact.  Any order, and any grouping of charges into one merged
+    # charge, leaves a core account and a ledger cell bit-identical.
+    order = list(charges)
+    rng.shuffle(order)
+    cuts = sorted(set(data.draw(st.lists(
+        st.integers(min_value=1, max_value=len(order)), max_size=20))))
+    groups = [order[a:b] for a, b in zip([0] + cuts, cuts + [len(order)])]
+    books = []
+    for batches in ([[c] for c in charges], [g for g in groups if g]):
+        core, ledger = CpuCore(Simulator(), 0), CycleLedger()
+        for batch in batches:
+            merged = sum(map(float, batch), 0.0)
+            core.charge("guest", merged)
+            ledger.charge("vm0", "exit.other", merged, len(batch))
+        books.append((core.cycles("guest"), ledger.snapshot()))
+    assert books[0] == books[1]
 
 
 def _xen(costs, kind, opts):
@@ -295,13 +325,38 @@ def _burst(runs, base=1.0):
     return packets
 
 
-@given(st.lists(runs_strategy, min_size=1, max_size=6), st.booleans())
-@settings(max_examples=80, deadline=None)
+#: A netperf burst: one header referenced up to past the socket cap.
+one_header = st.tuples(st.integers(min_value=1, max_value=100),
+                       st.integers(min_value=0, max_value=4000),
+                       st.sampled_from([40, 64, 512, 1500]),
+                       st.sampled_from([Protocol.UDP, Protocol.TCP]),
+                       st.just(True)).map(lambda run: ("runs", [run]))
+#: Runs whose first header recurs after another one (A A B A): the
+#: last packet is the first header, yet the burst is not one run.
+first_recurs = st.tuples(runs_strategy,
+                         st.integers(min_value=1, max_value=3)).map(
+    lambda drawn: ("recur", *drawn))
+burst_shapes = st.one_of(runs_strategy.map(lambda runs: ("runs", runs)),
+                         one_header, first_recurs)
+
+
+#: A A B A with B's fields unlike A's: only a full uniformity check may
+#: take the one-run books; ``burst[-1] is first`` alone is not enough.
+_A_A_B_A = [("recur", [(2, 0, 1500, Protocol.UDP, True),
+                       (1, 100, 64, Protocol.TCP, True)], 1)]
+
+
+@given(st.lists(burst_shapes, min_size=1, max_size=6), st.booleans())
+@example(_A_A_B_A, True)
+@example(_A_A_B_A, False)
+@settings(max_examples=120, deadline=None)
 def test_run_grouped_deliver_matches_the_per_packet_loop(bursts, capped):
     grouped, reference = NetserverApp(), NetserverApp()
-    for k, runs in enumerate(bursts):
+    for k, (shape, runs, *recur) in enumerate(bursts):
         now = 1.0 + k * 1e-3
         burst = _burst(runs, base=now)
+        if shape == "recur":
+            burst += [burst[0]] * recur[0]
         assert (grouped.deliver(burst, now, capped=capped)
                 == _reference_deliver(reference, burst, now, capped))
     assert _app_books(grouped) == _app_books(reference)

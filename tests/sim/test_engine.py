@@ -80,12 +80,14 @@ def test_schedule_at_in_past_rejected():
 
 @pytest.mark.parametrize("call", ["schedule", "schedule_at"])
 def test_nan_time_rejected_without_touching_the_queue(call):
+    # A NaN or negative delay, or a NaN or past time, raises before the
+    # queue or the sequence counter moves.
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
     stats = sim.queue_stats()
-    for _ in range(2):
+    for value in (math.nan, math.nan, -1e-12, -math.inf):
         with pytest.raises(SimulationError):
-            getattr(sim, call)(math.nan, lambda: None)
+            getattr(sim, call)(value, lambda: None)
     assert sim.pending_events == 1
     assert sim.queue_stats() == stats
     assert sim.schedule(2.0, lambda: None).seq == 1
@@ -216,3 +218,32 @@ def test_start_time_offset():
     sim.schedule(1.0, lambda: fired.append(sim.now))
     sim.run()
     assert fired == [101.0]
+
+
+def test_schedule_and_schedule_at_interleave_in_time_seq_order():
+    # ``schedule(d)`` pushes its own event; mixed with ``schedule_at(now
+    # + d)`` calls, at start and from inside a callback, every event
+    # must fire in (time, seq) order, ties in call order.
+    sim = Simulator(start_time=0.25)
+    handles = []
+    fired = []
+    delays = [1e-6, 0.0, 64e-6, 1e-6, 0.0, 0.5, 64e-6, 1e-6]
+
+    def burst():
+        for k, delay in enumerate(delays):
+            if k % 2:
+                handle = sim.schedule_at(sim.now + delay, fired.append,
+                                         len(handles))
+            else:
+                handle = sim.schedule(delay, fired.append, len(handles))
+            assert handle.time == sim.now + delay
+            handles.append(handle)
+
+    burst()
+    handles.append(sim.schedule(0.1, burst))
+    sim.run()
+    assert [handle.seq for handle in handles] == list(range(len(handles)))
+    events = [h for h in handles if h.callback == fired.append]
+    assert len(events) == 2 * len(delays)
+    events.sort(key=lambda h: (h.time, h.seq))
+    assert fired == [handles.index(h) for h in events]
