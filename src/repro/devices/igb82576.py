@@ -136,6 +136,9 @@ class _NetFunction:
         self.itr_floor_interval: float = 0.0
         self.mac: Optional[MacAddress] = None
         self.enabled = False
+        #: :meth:`rx_verdicts`, kept with what they were built from.
+        self._verdicts = bytearray()
+        self._verdict_key: tuple = ()
         #: Installed by the fluid datapath (repro.sim.fluid): a
         #: collapsed flow's ``settle_strict``, called before every ITR
         #: register write lands so the open window replays under the
@@ -170,8 +173,17 @@ class _NetFunction:
     # ------------------------------------------------------------------
     # receive side (device fills driver-posted descriptors)
     # ------------------------------------------------------------------
-    def device_receive(self, burst: List[Packet]) -> int:
-        """DMA a burst into this function's RX ring; returns accepted."""
+    def device_receive(self, burst: List[Packet],
+                       size_bytes: Optional[int] = None) -> int:
+        """DMA a burst into this function's RX ring; returns accepted.
+
+        ``size_bytes``, when given, is the burst's total size (the port
+        sums it for the DMA booking).  The ring takes packets at head
+        while descriptors last; the first slot whose buffer does not
+        translate writable (:meth:`rx_verdicts`) stops the burst, and
+        head stays on it, so the rest of the burst faults too.
+        Statistics land as one batched update per burst.
+        """
         offered = len(burst)
         if not self.enabled:
             self.account_rx(offered, 0, 0, no_desc=offered)
@@ -188,53 +200,75 @@ class _NetFunction:
             port.rx_corrupt_budget -= corrupt
             port.rx_corrupted += corrupt
             burst = burst[corrupt:]
-        # Burst fast path: the IOMMU context is resolved once, ring state
-        # and translation tables are locals, and statistics land as one
-        # batched update per burst.  Counter totals and per-packet
-        # accept/drop decisions match walking the burst one by one.
+            size_bytes = None
         ring = self.rx_ring
-        buffer_addr = ring.buffer_addr
-        done = ring.done
-        packets = ring.packets
-        mask = ring._mask
         head = ring.head
-        tail = ring.tail
-        iommu = port.iommu
-        lookup = None
-        no_context = False
-        if iommu is not None:
-            table = iommu._contexts.get(self._rid())
-            if table is None:
-                no_context = True
-            else:
-                lookup = table._entries.get
-        accepted = 0
-        rx_bytes = 0
-        no_desc = 0
+        size = ring.size
+        pending = len(burst)
+        room = (ring.tail - head) & ring._mask
+        accepted = pending if pending < room else room
         faults = 0
-        for packet in burst:
-            if head == tail:
-                no_desc += 1
-                continue
-            if no_context:
-                faults += 1
-                continue
-            if lookup is not None:
-                entry = lookup(buffer_addr[head] >> 12)
-                if entry is None or not entry[1]:
-                    faults += 1
-                    continue
-            done[head] = 1
-            packets[head] = packet
-            head = (head + 1) & mask
-            accepted += 1
-            rx_bytes += packet.size_bytes
-        ring.head = head
-        self.account_rx(offered, accepted, rx_bytes, no_desc, faults,
-                        corrupt)
+        if accepted and port.iommu is not None:
+            verdicts = self.rx_verdicts()
+            end = head + accepted
+            if verdicts is None:
+                # No context entry for the requester: every write faults.
+                stop = head
+            else:
+                stop = verdicts.find(0, head, end if end < size else size)
+                if stop < 0 and end > size:
+                    stop = verdicts.find(0, 0, end - size)
+                    if stop >= 0:
+                        stop += size
+            if stop >= 0:
+                accepted = stop - head
+                faults = pending - accepted
+        rx_bytes = 0
+        if accepted:
+            taken = burst if accepted == pending else burst[:accepted]
+            done = ring.done
+            packets = ring.packets
+            end = head + accepted
+            if end <= size:
+                done[head:end] = b"\x01" * accepted
+                packets[head:end] = taken
+            else:
+                split = size - head
+                end -= size
+                done[head:] = b"\x01" * split
+                done[:end] = b"\x01" * end
+                packets[head:] = taken[:split]
+                packets[:end] = taken[split:]
+            ring.head = end & ring._mask
+            rx_bytes = (size_bytes if taken is burst and size_bytes is not None
+                        else sum(packet.size_bytes for packet in taken))
+        self.account_rx(offered, accepted, rx_bytes,
+                        pending - accepted - faults, faults, corrupt)
         if accepted:
             self.throttle.request()
         return accepted
+
+    def rx_verdicts(self) -> Optional[bytearray]:
+        """The IOMMU's verdict on every RX slot's buffer: ``1`` where the
+        page maps writable for this function's RID, ``0`` where a DMA
+        write would fault; None when the RID has no context entry.
+
+        The function keeps the verdicts as VT-d's IOTLB keeps
+        translations, and invalidates them on every change: they are
+        rebuilt only when the RID's context points at another page
+        table, that table was mapped or unmapped, or the ring's buffer
+        addresses were written since the last build.
+        """
+        table = self.port.iommu._contexts.get(self._rid())
+        if table is None:
+            return None
+        ring = self.rx_ring
+        # A table compares by identity.
+        key = (table, table.generation, ring.generation)
+        if key != self._verdict_key:
+            self._verdicts = table.writable(ring.buffer_addr)
+            self._verdict_key = key
+        return self._verdicts
 
     def account_rx(self, offered: int, accepted: int, rx_bytes: int,
                    no_desc: int = 0, faults: int = 0,
@@ -451,19 +485,38 @@ class Igb82576Port:
 
         The receiving functions are cached per (dst, vlan) — the
         wire-rate fast path of this model, like the real switch's CAM.
-        A burst is walked by header run: a run is one packet referenced
-        several times (a netperf burst is one run), so each run costs
-        one cache read, whatever its length.
+        A burst of one header (every netperf burst) costs one cache
+        read, and each receiving function books and takes it whole.  A
+        mixed burst is walked by header run, each run costing one cache
+        read whatever its length.
         """
         fluid_tx = self._fluid_tx
         if fluid_tx is not None:
             fluid_tx.settle_strict()
-        self.wire_rx_packets += len(burst)
+        count = len(burst)
+        self.wire_rx_packets += count
         if self._classify_generation != self.switch.generation:
             self._classify_cache.clear()
             self._receivers.clear()
             self._classify_generation = self.switch.generation
+        if not count:
+            return
         receivers = self._receivers
+        transfer = self.datapath.transfer
+        first = burst[0]
+        # The O(1) identity check keeps mixed bursts off the C-level
+        # count.
+        if burst[-1] is first and burst.count(first) == count:
+            functions = receivers.get((first.dst, first.vlan))
+            if functions is None:
+                functions = self._resolve_receivers(first)
+            size = first.size_bytes * count
+            for function in functions:
+                # One DMA crossing host-ward per packet, booked as a
+                # batch.
+                transfer(size)
+                function.device_receive(burst, size)
+            return
         # function -> (its packets, their bytes), in first-seen order.
         by_function: dict = {}
         for packet, run in groupby(burst):
@@ -479,11 +532,9 @@ class Igb82576Port:
                 by_function[function] = (
                     (run, size) if booked is None
                     else (booked[0] + run, booked[1] + size))
-        transfer = self.datapath.transfer
         for function, (packets, size) in by_function.items():
-            # One DMA crossing host-ward per packet, booked as a batch.
             transfer(size)
-            function.device_receive(packets)
+            function.device_receive(packets, size)
 
     def _resolve_receivers(self, packet: Packet) -> tuple:
         """The local functions a wire packet's (dst, vlan) reaches.

@@ -123,8 +123,10 @@ class Netback:
         count = len(burst)
         batches.add()
         packets.add(count)
-        self.platform.trace.emit("netback", "batch", thread=thread,
-                                 domain=netfront.domain.id, packets=count)
+        trace = self.platform.trace
+        if trace.live:
+            trace.emit("netback", "batch", thread=thread,
+                       domain=netfront.domain.id, packets=count)
         if executor.submit(per_packet * count, self._complete, netfront,
                            burst):
             return True

@@ -40,6 +40,12 @@ class Netfront:
         self.carrier_watchers: List = []
         self.rx_packets = 0
         self.notifications = 0
+        #: The guest's cycles per received packet: a domain's kind is
+        #: fixed at creation, so the PVM surcharge is priced once.
+        self._cycles_per_packet = platform.costs.netfront_cycles_per_packet
+        if domain.is_pvm:
+            self._cycles_per_packet += (
+                platform.costs.pvm_syscall_surcharge_per_packet)
         # The event channel netback signals us on.
         channels = getattr(platform, "event_channels", None)
         if channels is not None:
@@ -59,9 +65,6 @@ class Netfront:
         costs = self.costs
         domain = self.domain
         domain.charge_hypervisor(costs.event_channel_notify_cycles)
-        cycles = costs.netfront_cycles_per_packet
-        if domain.is_pvm:
-            cycles += costs.pvm_syscall_surcharge_per_packet
         # The copy path is flow-controlled by the shared ring, so the
         # per-interrupt socket cap of the VF path does not apply.
         accepted, _ = self.app.deliver(burst, self.sim.now, capped=False)
@@ -69,10 +72,11 @@ class Netfront:
         # whole numbers (CostModel.validate), so the merged float sum is
         # exact and equals the two charges in turn.
         domain.charge_guest(costs.guest_cycles_per_interrupt
-                            + cycles * accepted)
+                            + self._cycles_per_packet * accepted)
         self.rx_packets += accepted
-        self.platform.trace.emit("netfront", "rx", domain=domain.id,
-                                 packets=accepted)
+        trace = self.platform.trace
+        if trace.live:
+            trace.emit("netfront", "rx", domain=domain.id, packets=accepted)
 
     def _upcall(self, port: int) -> None:
         self.notifications += 1

@@ -86,6 +86,12 @@ class VfDriver:
         #: Installed by :class:`repro.sim.fluid.FluidFlow` when this
         #: driver's stream rides the collapsed-window fast path.
         self._fluid = None
+        #: Resolved by :meth:`start`: the guest's virtual LAPIC (an HVM
+        #: guest under Xen, else None), and for a 2.6.18 kernel there
+        #: the device model that emulates its per-interrupt MSI-X mask
+        #: writes (else None).
+        self._vlapic = None
+        self._msix_mask_model = None
         # Registry instruments (no-ops when telemetry is off).
         scope = platform.metrics.scope(f"guest.{domain.name}")
         self._m_interrupts = scope.counter("interrupts")
@@ -100,6 +106,12 @@ class VfDriver:
         vectors, fill the RX ring, enable the VF, program the ITR."""
         if self.running:
             return
+        platform = self.platform
+        domain = self.domain
+        if domain.is_hvm and not platform.is_native:
+            self._vlapic = platform.vlapic(domain)
+            if domain.kernel.masks_msi_per_interrupt:
+                self._msix_mask_model = platform.device_model(domain)
         self._map_rx_pool()
         rid = self.vf.pci.rid
         self.rx_vector = self.platform.bind_guest_msi(self.domain, self._isr,
@@ -164,14 +176,13 @@ class VfDriver:
         # here in exact mode or after a decollapse, and then the exact
         # path reaps whatever packets were materialized into the ring.
         trace = self.platform.trace
-        trace.begin("irq", "vf_isr", domain=self.domain.id,
-                    driver=self.name)
-        hvm_under_xen = self.domain.is_hvm and not self.platform.is_native
-        masks_msi = (hvm_under_xen
-                     and self.domain.kernel.masks_msi_per_interrupt)
-        if masks_msi:
+        if trace.live:
+            trace.begin("irq", "vf_isr", domain=self.domain.id,
+                        driver=self.name)
+        mask_model = self._msix_mask_model
+        if mask_model is not None:
             # 2.6.18 masks the vector at the top of the handler (§5.1).
-            self.platform.device_model(self.domain).emulate_msix_mask_write(True)
+            mask_model.emulate_msix_mask_write(True)
         ring = self.vf.rx_ring
         packets = self.napi.poll_all(ring)
         # Steady-state refill: buffers were programmed at probe time
@@ -183,12 +194,13 @@ class VfDriver:
         if packets:
             accepted, _dropped = self.app.deliver(packets, self.sim.now)
         self.account_isr((batch,), accepted)
-        if hvm_under_xen:
-            self.platform.vlapic(self.domain).eoi_write()
-        if masks_msi:
-            self.platform.device_model(self.domain).emulate_msix_mask_write(False)
-        trace.end("irq", "vf_isr", domain=self.domain.id,
-                  packets=batch)
+        if self._vlapic is not None:
+            self._vlapic.eoi_write()
+        if mask_model is not None:
+            mask_model.emulate_msix_mask_write(False)
+        if trace.live:
+            trace.end("irq", "vf_isr", domain=self.domain.id,
+                      packets=batch)
 
     def account_isr(self, batches: Sequence[int], accepted: int) -> None:
         """The handler's books for ``len(batches)`` interrupts that
@@ -216,8 +228,8 @@ class VfDriver:
     def _mailbox_isr(self, vector: int) -> None:
         """Doorbell from the PF arrived; message already consumed by
         :meth:`_mailbox_message` (the model delivers synchronously)."""
-        if self.domain.is_hvm and not self.platform.is_native:
-            self.platform.vlapic(self.domain).eoi_write()
+        if self._vlapic is not None:
+            self._vlapic.eoi_write()
 
     def _mailbox_message(self, message: MailboxMessage) -> None:
         """PF-to-VF events (§4.2): "impending global device reset, link

@@ -49,6 +49,10 @@ class DescriptorRing:
         self.head = 0  # device-owned consumption point
         self.tail = 0  # software production point
         self._clean = 0  # driver cleanup cursor, trails head
+        #: Bumped by every write of ``buffer_addr``, so a device may keep
+        #: what it derived from the addresses (its IOMMU verdicts) until
+        #: the count moves.
+        self.generation = 0
         self.posted = 0
         self.completed = 0
 
@@ -91,6 +95,7 @@ class DescriptorRing:
             raise RingFullError(f"ring {self.name!r} is full")
         index = self.tail
         self.buffer_addr[index] = buffer_addr
+        self.generation += 1
         self.buffer_len[index] = buffer_len
         self.done[index] = 0
         self.packets[index] = packet
@@ -147,6 +152,7 @@ class DescriptorRing:
         size = self.size
         self.buffer_addr[:] = range(base_addr, base_addr + size * stride,
                                     stride)
+        self.generation += 1
         self.buffer_len[:] = [buffer_len] * size
 
     def post_until_full(self, base_addr: int, stride: int,
@@ -159,6 +165,7 @@ class DescriptorRing:
         Returns the number of descriptors posted.
         """
         count = self.free
+        self.generation += 1
         for start, stop in self.runs(self.tail, count):
             width = stop - start
             self.buffer_addr[start:stop] = range(

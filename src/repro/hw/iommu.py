@@ -11,7 +11,7 @@ without hypervisor involvement.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional
 
 PAGE_SIZE = 4096
 PAGE_MASK = PAGE_SIZE - 1
@@ -34,6 +34,9 @@ class IoPageTable:
         self.domain_id = domain_id
         #: gfn -> (mfn, writable)
         self._entries: Dict[int, "tuple[int, bool]"] = {}
+        #: Bumped by every :meth:`map` and :meth:`unmap`: a device that
+        #: keeps verdicts (an IOTLB) drops them when it moves.
+        self.generation = 0
 
     def map(self, guest_addr: int, machine_addr: int, size: int = PAGE_SIZE,
             writable: bool = True) -> None:
@@ -45,12 +48,14 @@ class IoPageTable:
         self._entries.update(zip(range(gfn, gfn + pages),
                                  zip(range(mfn, mfn + pages),
                                      repeat(writable))))
+        self.generation += 1
 
     def unmap(self, guest_addr: int, size: int = PAGE_SIZE) -> None:
         if guest_addr & PAGE_MASK or size & PAGE_MASK:
             raise ValueError("unmap must be page aligned")
         for i in range(size // PAGE_SIZE):
             self._entries.pop((guest_addr >> 12) + i, None)
+        self.generation += 1
 
     def lookup(self, guest_addr: int) -> Optional["tuple[int, bool]"]:
         """Translate one address; returns (machine_addr, writable) or None."""
@@ -59,6 +64,13 @@ class IoPageTable:
             return None
         mfn, writable = entry
         return (mfn << 12) | (guest_addr & PAGE_MASK), writable
+
+    def writable(self, addresses: Iterable[int]) -> bytearray:
+        """One byte per address: 1 where its page maps writable, 0
+        where a DMA write to it would fault."""
+        get = self._entries.get
+        return bytearray(1 if (entry := get(addr >> 12)) and entry[1] else 0
+                         for addr in addresses)
 
     @property
     def mapped_pages(self) -> int:

@@ -37,8 +37,8 @@ class PcieDataPath:
         self._busy_until: float = 0.0
         self.transferred_bytes = Counter(f"{name}.bytes")
         self.transfers = Counter(f"{name}.transfers")
-        #: Installed by the telemetry layer; emits one event per DMA
-        #: booking (queue time visible as start - ts).
+        #: Installed by the telemetry layer; a live tracer gets one event
+        #: per DMA booking (queue time visible as start - ts).
         self.trace = NULL_TRACER
 
     def transfer_time(self, size_bytes: int) -> float:
@@ -57,11 +57,13 @@ class PcieDataPath:
         if size_bytes < 0:
             raise ValueError("size must be non-negative")
         now = self.sim.now
-        start = max(now, self._busy_until)
+        busy = self._busy_until
         self.book((now,), (size_bytes,))
         finish = self._busy_until
-        self.trace.emit("dma", self.name, bytes=size_bytes,
-                        start=start, finish=finish)
+        trace = self.trace
+        if trace.live:
+            trace.emit("dma", self.name, bytes=size_bytes,
+                       start=max(now, busy), finish=finish)
         if on_done is not None:
             self.sim.schedule_at(finish, on_done)
         return finish

@@ -73,11 +73,19 @@ class PacketBuffer:
         return True
 
     def push_burst(self, packets: List[Packet]) -> int:
-        """Enqueue a burst; returns how many were accepted."""
-        accepted = 0
-        for packet in packets:
-            if self.push(packet):
-                accepted += 1
+        """Enqueue a burst; returns how many were accepted.
+
+        Tail drop with nothing dequeued in between: the burst's leading
+        packets fill the free room and the rest drop, booked as
+        :meth:`push` would book them one by one."""
+        queue = self._queue
+        offered = len(packets)
+        accepted = min(offered, self.capacity - len(queue))
+        queue.extend(packets[:accepted])
+        stats = self.stats
+        stats.enqueued += accepted
+        stats.dropped += offered - accepted
+        stats.peak_depth = max(stats.peak_depth, len(queue))
         return accepted
 
     def pop(self) -> Optional[Packet]:

@@ -25,8 +25,8 @@ Figs. 20-21.  This package is the reproduction's equivalent layer:
   ``repro report`` static-HTML renderer.
 
 Everything defaults off: platforms carry null registries/tracers whose
-methods are no-ops, so hot paths trace and count unconditionally at
-negligible cost.
+methods are no-ops.  Hot paths count unconditionally, and trace only
+when their tracer is ``live``, so the null tracer costs them no call.
 """
 
 from repro.obs.campaign import (

@@ -297,7 +297,8 @@ class FluidFlow:
         """The ring must be fully posted and clean (the post-probe
         steady state the frozen-cursor model assumes), with every slot's
         buffer IOMMU-mapped writable (so the exact path would never
-        fault)."""
+        fault): the VF's own verdicts, the ones its exact receive
+        path reads."""
         ring = self.vf.rx_ring
         size = ring.size
         if ring.head != ring._clean:
@@ -306,16 +307,10 @@ class FluidFlow:
             return False
         if any(ring.done):
             return False
-        iommu = self.port.iommu
-        if iommu is not None:
-            table = iommu._contexts.get(self.vf.pci.rid)
-            if table is None:
+        if self.port.iommu is not None:
+            verdicts = self.vf.rx_verdicts()
+            if verdicts is None or 0 in verdicts:
                 return False
-            lookup = table._entries.get
-            for addr in ring.buffer_addr:
-                entry = lookup(addr >> 12)
-                if entry is None or not entry[1]:
-                    return False
         return True
 
     def _still_valid(self) -> bool:

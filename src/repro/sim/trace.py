@@ -3,9 +3,12 @@
 A :class:`Tracer` records timestamped, categorized events into a bounded
 ring buffer — the xentrace analogue this reproduction uses to debug and
 to let tests assert on *sequences* of behaviour rather than just
-aggregate counters.  Tracing is off unless a tracer is installed, and a
-disabled tracer's :meth:`Tracer.emit` is a cheap no-op, so hot paths can
-trace unconditionally.
+aggregate counters.  Tracing is off unless a tracer is installed.  Every
+tracer says whether it records at all in its class attribute ``live``:
+the per-burst and per-interrupt sites test ``trace.live`` before they
+build an event's keyword arguments, so the default :data:`NULL_TRACER`
+costs them one attribute read and no call.  Cold sites (faults, the
+mailbox, migration) call it unconditionally.
 
 Besides point events (:meth:`Tracer.emit`), a tracer records *spans* —
 begin/end pairs (:meth:`Tracer.begin` / :meth:`Tracer.end`) marking the
@@ -71,6 +74,9 @@ class Tracer:
     :attr:`evicted` counts how many were pushed out of the ring — so
     ``len(tracer) == emitted - evicted`` always holds.
     """
+
+    #: Records events (of its enabled categories): hot sites must call it.
+    live = True
 
     def __init__(self, sim: Simulator, capacity: int = 65536):
         if capacity <= 0:
@@ -197,7 +203,10 @@ class Tracer:
 
 
 class NullTracer:
-    """The do-nothing tracer installed by default: emit() is free."""
+    """The do-nothing tracer installed by default: hot sites skip it by
+    reading ``live``, and cold sites' calls do nothing."""
+
+    live = False
 
     def emit(self, category: str, name: str, **detail: Any) -> None:
         pass

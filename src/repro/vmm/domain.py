@@ -74,11 +74,15 @@ class Domain:
         self.vcpus = [Vcpu(i, core) for i, core in enumerate(core_indexes)]
         #: The I/O page table the IOMMU walks for this domain's devices.
         self.io_page_table = IoPageTable(domain_id)
+        #: A domain's kind and pinning are fixed at creation, so the
+        #: interrupt path reads its kind as flags, and every charge
+        #: indexes its xentop-style account and each VCPU's home core
+        #: directly.
+        self.is_hvm = kind is DomainKind.HVM
+        self.is_pvm = kind is DomainKind.PVM
+        self.is_dom0 = kind is DomainKind.DOM0
         #: HVM guests get a virtual LAPIC per VCPU (we model VCPU 0's).
-        self.lapic: Optional[Lapic] = Lapic(domain_id) if kind is DomainKind.HVM else None
-        #: The xentop-style account this domain's cycles land in, and
-        #: each VCPU's home core: a domain's kind and pinning are fixed
-        #: at creation, so every charge indexes them directly.
+        self.lapic: Optional[Lapic] = Lapic(domain_id) if self.is_hvm else None
         self.account_label = _ACCOUNT_LABELS.get(kind, "guest")
         self._home_cores = [machine.core(core) for core in core_indexes]
         self.running = True
@@ -88,18 +92,6 @@ class Domain:
         self.cycles_consumed = 0.0
 
     # ------------------------------------------------------------------
-    @property
-    def is_hvm(self) -> bool:
-        return self.kind is DomainKind.HVM
-
-    @property
-    def is_pvm(self) -> bool:
-        return self.kind is DomainKind.PVM
-
-    @property
-    def is_dom0(self) -> bool:
-        return self.kind is DomainKind.DOM0
-
     def home_core(self, vcpu: int = 0) -> int:
         return self.vcpus[vcpu].core_index
 

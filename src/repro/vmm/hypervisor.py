@@ -59,7 +59,8 @@ class Xen:
         #: MSIs dropped by interrupt remapping (spoofed or stale vectors).
         self.blocked_interrupts = 0
         #: Install a :class:`repro.sim.trace.Tracer` here to capture the
-        #: interrupt path; the default null tracer costs nothing.
+        #: interrupt path; the hot sites skip the default null tracer
+        #: (``trace.live``), reading it when they run.
         self.trace = NULL_TRACER
         #: Per-(domain, category) cycle attribution.  Always live: it is
         #: the one book of VM exits (Fig. 7's breakdown) and feeds the
@@ -172,14 +173,17 @@ class Xen:
             self.trace.emit("irq", "orphan", vector=vector)
             return  # interrupt for a torn-down domain: dropped at Xen
         domain = self.domains[owner_id]
-        self.trace.begin("irq", "deliver", vector=vector, domain=owner_id)
+        trace = self.trace
+        if trace.live:
+            trace.begin("irq", "deliver", vector=vector, domain=owner_id)
         self.account_interrupts(domain)
         if domain.is_hvm:
             self._vlapics[domain.id].inject(vector)
         handler = self.vectors.handler(vector)
         if handler is not None:
             handler(vector)
-        self.trace.end("irq", "deliver", vector=vector)
+        if trace.live:
+            trace.end("irq", "deliver", vector=vector)
 
     def account_interrupts(self, domain: Domain, count: int = 1) -> None:
         """Charge ``count`` MSIs delivered to ``domain``: the

@@ -55,10 +55,13 @@ class VirtualLapic:
             lapic.ack()
         accesses = self.other_accesses()
         if accesses:
-            self.host.trace.emit("apic", "inject", vector=vector,
-                                 domain=self.domain.id, accesses=accesses)
-        for _ in range(accesses):
-            self.account(other=1)
+            trace = self.host.trace
+            if trace.live:
+                trace.emit("apic", "inject", vector=vector,
+                           domain=self.domain.id, accesses=accesses)
+            # One booking for all of them: exit cycle costs are whole
+            # numbers (CostModel.validate), so the product is exact.
+            self.account(other=accesses)
 
     def other_accesses(self) -> int:
         """The non-EOI APIC accesses one interrupt costs: the calibrated
@@ -101,8 +104,10 @@ class VirtualLapic:
         optimization switches.
         """
         self.account(eois=1)
-        self.host.trace.emit("apic", "eoi", domain=self.domain.id,
-                             accelerated=self.opts.eoi_acceleration)
+        trace = self.host.trace
+        if trace.live:
+            trace.emit("apic", "eoi", domain=self.domain.id,
+                       accelerated=self.opts.eoi_acceleration)
         lapic = self.domain.lapic
         assert lapic is not None
         retired = lapic.eoi()

@@ -13,8 +13,11 @@ sides of each comparison go through the same reduction.
 - SR-IOV: unoptimized 2.6.18 HVM guests, which take every exit kind
   including ``msix-mask``/``msix-unmask``; PVM guests, which take
   ``hypercall`` exits.
-- The native baseline, VMDq, both inter-VM variants, and a two-host
-  serial cluster with flows both ways.
+- VMDq with four guests, each on its own queue pair, and with ten, of
+  which three share the default queue and its one service thread
+  (Fig. 19's >7-VM regime).
+- The native baseline, both inter-VM variants, and a two-host serial
+  cluster with flows both ways.
 
 Any change to one of these results fails here.  Re-record (only) for
 an intentional change:
@@ -45,6 +48,8 @@ SCENARIOS = {
                           **WINDOW),
     "native": Scenario(mode="native", vm_count=2, ports=2, **WINDOW),
     "vmdq": Scenario(mode="vmdq", vm_count=4, **WINDOW),
+    "vmdq_shared_default_queue": Scenario(mode="vmdq", vm_count=10,
+                                          **WINDOW),
     "intervm_sriov": Scenario(mode="intervm", variant="sriov", **WINDOW),
     "intervm_pv_pvm": Scenario(mode="intervm", variant="pv", kind="pvm",
                                **WINDOW),
@@ -70,6 +75,8 @@ PINNED = {
         "eb4f34beaa2084ad56fcf133b849449ac4e61fa8bdff7342409788c36645775a",
     "vmdq":
         "8dbd35e674a85032d24542360efb6c74e313cab01292ac9d0bcff23506c882a9",
+    "vmdq_shared_default_queue":
+        "f0afaaa8d784b4fcc68759f4f00a36378bd9c248d2a4e331b2e8cc136120bff0",
     "intervm_sriov":
         "854e7878d86d14c447fe54339ac00dd66bb580308fb8e4299879d0bc9eabf97f",
     "intervm_pv_pvm":
@@ -108,3 +115,11 @@ def test_shapes_cover_every_exit_kind_they_pin(results):
             "apic-access-other", "external-interrupt"} <= set(
         results["sriov_hvm_2618_unoptimized"].exit_counts)
     assert "hypercall" in results["sriov_pvm"].exit_counts
+
+
+def test_vmdq_shape_shares_the_default_queue(results):
+    # Three of the ten guests ride the default queue, which one thread
+    # serves: they get less than the seven with queues of their own.
+    per_vm = results["vmdq_shared_default_queue"].per_vm_throughput_bps
+    assert len(per_vm) == 10
+    assert max(per_vm[7:]) < min(per_vm[:7])

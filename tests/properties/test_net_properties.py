@@ -69,6 +69,27 @@ def test_buffer_conservation(burst_sizes, capacity):
     assert stats.dequeued + len(buffer) == stats.enqueued
 
 
+@given(st.lists(st.tuples(st.booleans(), st.integers(0, 12)), max_size=30),
+       st.integers(min_value=1, max_value=16))
+@settings(max_examples=100)
+def test_bursts_book_as_single_pushes_and_pops(steps, capacity):
+    """``push_burst`` and ``pop_burst`` leave the queue and every
+    statistic as ``push`` and ``pop`` one packet at a time would."""
+    src = MacAddress(1)
+    bursty, single = PacketBuffer(capacity), PacketBuffer(capacity)
+    for push, count in steps:
+        if push:
+            burst = [Packet(src=src, dst=MacAddress(2 + i))
+                     for i in range(count)]
+            accepted = sum(single.push(packet) for packet in burst)
+            assert bursty.push_burst(burst) == accepted
+        else:
+            popped = [single.pop() for _ in range(min(count, len(single)))]
+            assert bursty.pop_burst(count) == popped
+        assert list(bursty._queue) == list(single._queue)
+        assert bursty.stats == single.stats
+
+
 @given(st.lists(st.tuples(macs, st.integers(min_value=0, max_value=6)),
                 min_size=1, max_size=30, unique_by=lambda t: t[0]))
 @settings(max_examples=100)

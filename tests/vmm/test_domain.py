@@ -19,12 +19,22 @@ def test_hvm_domain_has_lapic():
     assert pvm.lapic is None
 
 
+#: (is_hvm, is_pvm, is_dom0) for every domain kind.
+KIND_FLAGS = {
+    DomainKind.DOM0: (False, False, True),
+    DomainKind.HVM: (True, False, False),
+    DomainKind.PVM: (False, True, False),
+    DomainKind.NATIVE: (False, False, False),
+}
+
+
 def test_kind_predicates():
+    # The flags are set at creation, for every kind there is.
+    assert set(KIND_FLAGS) == set(DomainKind)
     machine = make_machine()
-    dom0 = Domain(0, "dom0", DomainKind.DOM0, machine, [0])
-    hvm = Domain(1, "g", DomainKind.HVM, machine, [8])
-    assert dom0.is_dom0 and not dom0.is_hvm
-    assert hvm.is_hvm and not hvm.is_dom0
+    for kind, flags in KIND_FLAGS.items():
+        domain = Domain(1, kind.value, kind, machine, [8])
+        assert (domain.is_hvm, domain.is_pvm, domain.is_dom0) == flags, kind
 
 
 def test_account_labels():
